@@ -16,7 +16,7 @@ import sys
 import time
 from collections import defaultdict
 
-from sumfree.census import ORACLE_MAX_N, f_branch, f_max_branch, f_max_oracle, f_oracle
+from sumfree.census import ORACLE_MAX_N, branch_counts, f_max_oracle, f_oracle
 
 
 def main() -> int:
@@ -30,8 +30,7 @@ def main() -> int:
     by_residue: dict[int, list[float]] = defaultdict(list)
     for n in range(1, args.n_max + 1):
         t0 = time.perf_counter()
-        f = f_branch(n, workers=args.workers)
-        fmax = f_max_branch(n, workers=args.workers)
+        f, fmax = branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - t0) * 1000
         if n <= ORACLE_MAX_N and n <= 20:
             assert f == f_oracle(n) and fmax == f_max_oracle(n), n

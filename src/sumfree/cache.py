@@ -3,7 +3,7 @@
 Entries are keyed by (operation, parameters, code-version tag) so a version
 bump invalidates everything, and stored as the JSON payload the operation
 would emit.  A corrupt entry is treated as a miss; the caller recomputes and
-overwrites it.
+overwrites it.  Stores rename a finished temporary file over the entry.
 """
 
 from __future__ import annotations
@@ -61,4 +61,9 @@ def cache_store(
         "version": version,
         "payload": payload,
     }
-    path.write_text(json.dumps(entry, sort_keys=True))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(entry, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

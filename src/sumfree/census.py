@@ -7,9 +7,11 @@ Two independent routes are provided and cross-checked:
   (m is sum-free iff m - x is, x is not a sum of two members, and no member
   plus x lands in the set), so one pass in increasing popcount order fills
   the whole table.
-* branch: a prefix-tree walk that only visits sum-free sets, certifying
-  maximality at the leaves by testing every absent element.  This is the
-  route that scales past n = 26 and the one the CLI parallelises.
+* branch: one prefix-tree walk over the sum-free sets, counting f and f_max
+  in a single pass with each node's blocked mask (sums, differences and
+  halves) kept up to date, so a childless node is maximal iff one AND comes
+  out empty.  It scales past n = 26, and the CLI splits it into a
+  breadth-first frontier of a few hundred subtrees for a process pool.
 
 On top of the enumeration sit the refined counts used by the upper-half
 analysis (link-graph maximal-independent-set counts per choice of minimum m
@@ -25,8 +27,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .intset import (
     GroundSet,
     IntSubset,
     iter_mask,
-    mask_can_add,
+    mask_blocked,
     mask_is_sum_free,
 )
 from .linkgraph import link_family, link_graph_ints, link_pair_even, link_single_even
@@ -117,89 +120,120 @@ def f_max_oracle(n: int) -> int:
     return count
 
 
-def _sums_of(mask: int) -> int:
-    sums = 0
-    m = mask
-    while m:
-        low = m & -m
-        sums |= mask << low.bit_length()
-        m ^= low
-    return sums
-
-
-def _leaf_is_maximal(mask: int, sums: int, universe: int) -> bool:
-    """Whether a sum-free mask admits no addable element in the universe."""
-    free = universe & ~mask & ~sums
-    if not free:
-        return True
-    blocked = 0
-    m = mask
-    while m:
-        low = m & -m
-        s = low.bit_length()
-        blocked |= mask >> s
-        if s % 2 == 0:
-            blocked |= 1 << (s // 2 - 1)
-        m ^= low
-    return not (free & ~blocked)
-
-
 # ---------------------------------------------------------------------------
 # branch route: prefix tree over sum-free sets only
 # ---------------------------------------------------------------------------
 
+# A walk node is a sum-free set S grown in increasing order, carried as
+# (cand, mask, blocked, rev).  cand: the allowed elements above max S that
+# are not in S+S, which are exactly its children, since a + b = y is the only
+# Schur triple a new maximum y can complete.  blocked: S+S, the differences
+# and the halves of S, equal to intset.mask_blocked(mask).  rev: S reversed
+# (element s at bit n - s), so a new maximum x adds differences rev >> (n+1-x).
+Node = tuple[int, int, int, int]
 
-def _branch_count(n: int, start: int, mask: int, sums: int) -> int:
-    """Number of sum-free subsets of [n] whose restriction to [start-1] is
-    exactly `mask`."""
-    count = 1
-    for x in range(start, n + 1):
-        if mask_can_add(mask, sums, x):
-            t = mask | (1 << (x - 1))
-            count += _branch_count(n, x + 1, t, sums | (t << x))
-    return count
+# frontier subtrees per pool worker: the heaviest is a few percent of the walk
+_TASKS_PER_WORKER = 128
+_CHUNKSIZE = 8
 
 
-def _branch_maximal(
-    n: int, start: int, mask: int, sums: int, universe: int, out: Optional[list]
-) -> int:
-    """Count (and optionally collect) the maximal sum-free sets whose
-    restriction to [start-1] equals `mask`.  Every node of the prefix tree
-    owns exactly one sum-free set, so testing maximality once per node
-    counts each set once."""
+def _walker(n: int, universe: int, out: Optional[list] = None):
+    """The prefix-tree recursion over sum-free subsets of [n]; from the root
+    `(allowed, 0, 0, 0)` it walks the sum-free subsets of `allowed`.
 
-    def rec(start: int, mask: int, sums: int) -> int:
-        count = 0
-        for x in range(start, n + 1):
-            if mask_can_add(mask, sums, x):
-                t = mask | (1 << (x - 1))
-                count += rec(x + 1, t, sums | (t << x))
-        if _leaf_is_maximal(mask, sums, universe):
-            count += 1
+    `walk(*node)` returns (f, f_max) of the node's subtree in one pass,
+    maximality taken in `universe`, which must contain every candidate: a
+    node with a child is then never maximal, and a childless node is
+    maximal iff no element of the universe outside S escapes `blocked`.
+    Maximal masks are appended to `out` when it is given.  With a `depth`,
+    the nodes that many levels down go to `frontier` unwalked and count 0.
+    """
+    top = n + 1
+    halves = [0 if x % 2 else 1 << x // 2 >> 1 for x in range(top)]  # bit of x/2
+
+    def walk(cand, mask, blocked, rev, depth=-1, frontier=None):
+        if not depth:
+            frontier.append((cand, mask, blocked, rev))
+            return 0, 0
+        if not cand:
+            if universe & ~mask & ~blocked:
+                return 1, 0
             if out is not None:
                 out.append(mask)
-        return count
+            return 1, 1
+        f, f_max = 1, 0
+        depth -= 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length()
+            t = mask | low
+            tx = t << x
+            blocked_t = blocked | tx | (rev >> (top - x)) | halves[x]
+            sub_f, sub_max = walk(
+                cand & ~tx, t, blocked_t, rev | 1 << (n - x), depth, frontier
+            )
+            f += sub_f
+            f_max += sub_max
+        return f, f_max
 
-    return rec(start, mask, sums)
+    return walk
+
+
+def _expand(walk, level: list[Node]) -> tuple[list[Node], int, int]:
+    """One breadth-first step: the children of every node of `level`, and
+    (f, f_max) over the nodes of `level` themselves."""
+    children: list[Node] = []
+    f = f_max = 0
+    for node in level:
+        sub_f, sub_max = walk(*node, 1, children)
+        f += sub_f
+        f_max += sub_max
+    return children, f, f_max
+
+
+def _split(n: int, workers: int) -> tuple[int, int, list[Node]]:
+    """Expand the prefix tree of [n] breadth-first until the frontier holds
+    `_TASKS_PER_WORKER` subtrees per worker.  Returns (f, f_max) over the
+    expanded nodes and the frontier, whose subtrees hold the rest."""
+    universe = (1 << n) - 1
+    walk = _walker(n, universe)
+    level: list[Node] = [(universe, 0, 0, 0)]
+    f = f_max = 0
+    while level and len(level) < _TASKS_PER_WORKER * workers:
+        level, sub_f, sub_max = _expand(walk, level)
+        f += sub_f
+        f_max += sub_max
+    return f, f_max, level
+
+
+def _subtree(n: int, node: Node) -> tuple[int, int]:
+    """(f, f_max) of one subtree of [n]'s prefix tree: the pool's task."""
+    return _walker(n, (1 << n) - 1)(*node)
+
+
+def branch_counts(n: int, workers: int = 1) -> tuple[int, int]:
+    """(f(n), f_max(n)) by one prefix-tree walk, over `workers` processes."""
+    if workers <= 1:
+        return _subtree(n, ((1 << n) - 1, 0, 0, 0))
+    f, f_max, tasks = _split(n, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for sub_f, sub_max in pool.map(
+            partial(_subtree, n), tasks, chunksize=_CHUNKSIZE
+        ):
+            f += sub_f
+            f_max += sub_max
+    return f, f_max
 
 
 def f_branch(n: int, workers: int = 1) -> int:
     """f(n) by the prefix-tree walk."""
-    if workers <= 1:
-        return _branch_count(n, 1, 0, 0)
-    tasks = _split_tasks(n, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_task, tasks))
+    return branch_counts(n, workers)[0]
 
 
 def f_max_branch(n: int, workers: int = 1) -> int:
-    """f_max(n) by the prefix-tree walk with leaf maximality certification."""
-    universe = (1 << n) - 1
-    if workers <= 1:
-        return _branch_maximal(n, 1, 0, 0, universe, None)
-    tasks = _split_tasks(n, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_max_task, tasks))
+    """f_max(n) by the prefix-tree walk."""
+    return branch_counts(n, workers)[1]
 
 
 def enumerate_maximal_sum_free(n: int, limit: int = 40) -> list[IntSubset]:
@@ -207,7 +241,7 @@ def enumerate_maximal_sum_free(n: int, limit: int = 40) -> list[IntSubset]:
     if n > limit:
         raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {limit}")
     out: list[int] = []
-    _branch_maximal(n, 1, 0, 0, (1 << n) - 1, out)
+    _walker(n, (1 << n) - 1, out)((1 << n) - 1, 0, 0, 0)
     ground = GroundSet(n)
     return [IntSubset(ground, m) for m in sorted(out, key=_mask_sort_key)]
 
@@ -216,53 +250,16 @@ def _mask_sort_key(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
 
 
-def _split_tasks(n: int, workers: int) -> list[tuple[int, int, int, int]]:
-    """Prefix tasks for the worker pool: all sum-free prefixes over [d]."""
-    d = 1
-    while d < n and _branch_count(d, 1, 0, 0) < 4 * workers:
-        d += 1
-
-    tasks: list[tuple[int, int, int, int]] = []
-
-    def rec(start: int, mask: int, sums: int) -> None:
-        if start > d:
-            tasks.append((n, d + 1, mask, sums))
-            return
-        rec(start + 1, mask, sums)
-        if mask_can_add(mask, sums, start):
-            t = mask | (1 << (start - 1))
-            rec(start + 1, t, sums | (t << start))
-
-    rec(1, 0, 0)
-    return tasks
-
-
-def _count_task(task: tuple[int, int, int, int]) -> int:
-    n, start, mask, sums = task
-    return _branch_count(n, start, mask, sums)
-
-
-def _max_task(task: tuple[int, int, int, int]) -> int:
-    n, start, mask, sums = task
-    return _branch_maximal(n, start, mask, sums, (1 << n) - 1, None)
-
-
-def sum_free_subsets_of(members: Sequence[int]) -> list[int]:
-    """Masks of all sum-free subsets of an arbitrary integer set."""
-    elems = sorted(members)
+def sum_free_subsets_of(members: Iterable[int]) -> list[int]:
+    """Masks of all sum-free subsets of a set of positive integers, by
+    increasing size."""
+    allowed = sum(1 << (x - 1) for x in set(members))
+    walk = _walker(allowed.bit_length(), allowed)
+    level: list[Node] = [(allowed, 0, 0, 0)]
     out: list[int] = []
-
-    def rec(pos: int, mask: int, sums: int) -> None:
-        if pos == len(elems):
-            out.append(mask)
-            return
-        x = elems[pos]
-        rec(pos + 1, mask, sums)
-        if mask_can_add(mask, sums, x):
-            t = mask | (1 << (x - 1))
-            rec(pos + 1, t, sums | (t << x))
-
-    rec(0, 0, 0)
+    while level:
+        out.extend(node[1] for node in level)
+        level = _expand(walk, level)[0]
     return out
 
 
@@ -293,9 +290,7 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
             m = seed_mask
             for v in ind:
                 m |= 1 << (v - 1)
-            if m in found:
-                continue
-            if _leaf_is_maximal(m, _sums_of(m), universe):
+            if not universe & ~m & ~mask_blocked(m):
                 found.add(m)
     return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
 
@@ -348,7 +343,7 @@ def refined_counts(n: int, m: int, s_members: Iterable[int]) -> RefinedCounts:
         # require minimum exactly m and leaf maximality
         if (mask & -mask).bit_length() != m:
             continue
-        if _leaf_is_maximal(mask, _sums_of(mask), universe):
+        if not universe & ~mask & ~mask_blocked(mask):
             msf += 1
     if n % 4 == 0:
         ratio: Optional[Fraction] = Fraction(mis_link, 1 << (n // 4))

@@ -5,7 +5,7 @@ tabulations.  Identical invocation and seed produce byte-identical primary
 output regardless of worker count (counts merge associatively and every
 listing is canonically sorted before printing).
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, 2 usage or limit error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graph import (
 )
 from .group import AbelianGroup, f_group, f_max_group, mu
 from .linkgraph import link_family, link_pair_even, link_single_even
-from .mis import mis_result
+from .mis import EnumerationLimitError, mis_result
 
 
 @dataclass
@@ -164,8 +164,7 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
             f = census.f_oracle(n)
             fmax = census.f_max_oracle(n)
         else:
-            f = census.f_branch(n, workers=cfg.workers)
-            fmax = census.f_max_branch(n, workers=cfg.workers)
+            f, fmax = census.branch_counts(n, workers=cfg.workers)
         elapsed = (time.perf_counter() - started) * 1000.0
         payload = {"ground": str(n), "f": f, "f_max": fmax, "method": method,
                    "elapsed_ms": round(elapsed, 1)}
@@ -376,16 +375,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     for key, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, default)
-    cfg = Config(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        seed=args.seed,
-        output=args.output,
-        use_cache=not args.no_cache,
-    )
     try:
+        cfg = Config(
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            seed=args.seed,
+            output=args.output,
+            use_cache=not args.no_cache,
+        )
         return _COMMANDS[args.command](cfg, args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

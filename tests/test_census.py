@@ -7,9 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumfree import census
 from sumfree.census import (
     EnumRecord,
+    branch_counts,
     dprime_sum,
     enumerate_maximal_sum_free,
     even_link_term,
@@ -23,7 +27,13 @@ from sumfree.census import (
     sum_free_subsets_of,
     two_step_enumerate,
 )
-from sumfree.intset import IntSubset, is_maximal_sum_free, iter_mask
+from sumfree.intset import (
+    IntSubset,
+    is_maximal_sum_free,
+    iter_mask,
+    mask_blocked,
+    mask_is_sum_free,
+)
 from sumfree.mis import EnumerationLimitError
 
 # frozen by running the all-subsets oracle
@@ -52,6 +62,80 @@ def test_branch_matches_oracle():
 def test_workers_do_not_change_counts():
     assert f_branch(16, workers=3) == f_branch(16)
     assert f_max_branch(16, workers=3) == f_max_branch(16)
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _brute_maximal(n):
+    universe = (1 << n) - 1
+    return sorted(
+        m
+        for m in _submasks(universe)
+        if mask_is_sum_free(m)
+        and not any(
+            not m >> x & 1 and mask_is_sum_free(m | 1 << x) for x in range(n)
+        )
+    )
+
+
+def test_walk_state_matches_definitions_node_by_node():
+    # every node the walk reaches, breadth-first through the same recursion,
+    # carries the blocked mask and the children the definitions give
+    for n in range(1, 15):
+        universe = (1 << n) - 1
+        walk = census._walker(n, universe)
+        level = [(universe, 0, 0, 0)]
+        seen = []
+        while level:
+            for cand, mask, blocked, rev in level:
+                assert blocked == mask_blocked(mask), (n, mask)
+                top = mask.bit_length()
+                sums = 0
+                for s in iter_mask(mask):
+                    sums |= mask << s
+                assert cand == universe & ~sums >> top << top, (n, mask)
+                assert rev == sum(1 << (n - s) for s in iter_mask(mask))
+                seen.append(mask)
+            level = census._expand(walk, level)[0]
+        assert sorted(seen) == sorted(
+            m for m in _submasks(universe) if mask_is_sum_free(m)
+        )
+        maximal = _brute_maximal(n)
+        assert [s.mask for s in enumerate_maximal_sum_free(n)] == sorted(
+            maximal, key=lambda m: tuple(iter_mask(m))
+        )
+        assert branch_counts(n) == (len(seen), len(maximal))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.integers(1, 24), min_size=2, max_size=12).filter(
+        lambda s: max(s) - min(s) + 1 > len(s)
+    )
+)
+def test_sum_free_subsets_of_non_interval(members):
+    allowed = sum(1 << (x - 1) for x in members)
+    got = sum_free_subsets_of(members)
+    assert sorted(got) == sorted(m for m in _submasks(allowed) if mask_is_sum_free(m))
+
+
+def test_split_balance():
+    # the pool's frontier spreads the walk: no subtree task holds more than
+    # an eighth of the nodes, and the tasks plus the expanded nodes are f(n)
+    n = 24
+    f_top, _, tasks = census._split(n, workers=2)
+    sizes = [census._subtree(n, node)[0] for node in tasks]
+    total = f_top + sum(sizes)
+    assert total == 45417  # f(24), by the oracle
+    assert len(tasks) >= 16
+    assert 8 * max(sizes) <= total
 
 
 def test_enumeration_examples():

@@ -183,6 +183,27 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_bad_workers_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "--workers", "0", "enumerate", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
+def test_enumeration_limit_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "mis", "--family", "path:100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the limit" in err
+
+
+def test_cache_store_leaves_no_temp_file(cache_dir):
+    cache_store(cache_dir, "enumerate", {"n": 5}, {"f": 16})
+    cache_store(cache_dir, "enumerate", {"n": 5}, {"f": 16})  # overwrite
+    assert [p.name for p in cache_dir.iterdir()] == [
+        f"{cache_key('enumerate', {'n': 5})}.json"
+    ]
+    assert cache_lookup(cache_dir, "enumerate", {"n": 5}) == {"f": 16}
+
+
 def test_deterministic_verify_output(capsys):
     _, a, _ = invoke(capsys, "--seed", "7", "verify", "--check", "link-triangle-free")
     _, b, _ = invoke(capsys, "--seed", "7", "verify", "--check", "link-triangle-free")
