@@ -16,7 +16,7 @@ import sys
 import time
 from collections import defaultdict
 
-from sumfree.census import ORACLE_MAX_N, branch_counts, f_max_oracle, f_oracle
+from sumfree.census import ORACLE_MAX_N, branch_counts, oracle_counts
 
 
 def main() -> int:
@@ -33,7 +33,7 @@ def main() -> int:
         f, fmax = branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - t0) * 1000
         if n <= ORACLE_MAX_N and n <= 20:
-            assert f == f_oracle(n) and fmax == f_max_oracle(n), n
+            assert (f, fmax) == oracle_counts(n), n
         ratio = fmax / 2 ** (n / 4)
         by_residue[n % 4].append(ratio)
         rows.append((n, n % 4, f, fmax, ratio, elapsed))

@@ -5,13 +5,11 @@ set counting in graphs with loops."""
 from .intset import (
     GroundSet,
     IntSubset,
-    SetStats,
     addable_elements,
     is_maximal_sum_free,
     is_schur_triple,
     is_sum_free,
     schur_triple_count,
-    set_stats,
     sumset,
     unordered_schur,
 )
@@ -19,13 +17,11 @@ from .intset import (
 __all__ = [
     "GroundSet",
     "IntSubset",
-    "SetStats",
     "addable_elements",
     "is_maximal_sum_free",
     "is_schur_triple",
     "is_sum_free",
     "schur_triple_count",
-    "set_stats",
     "sumset",
     "unordered_schur",
 ]

@@ -2,11 +2,11 @@
 
 Two independent routes are provided and cross-checked:
 
-* oracle: a vectorised sweep over all 2^n subset masks.  Sum-freeness
+* oracle: a vectorised table over all 2^n subset masks.  Sum-freeness
   satisfies a one-step recurrence on the smallest element x of a mask m
-  (m is sum-free iff m - x is, x is not a sum of two members, and no member
-  plus x lands in the set), so one pass in increasing popcount order fills
-  the whole table.
+  (m is sum-free iff m - x is, x + x is not in m, and no member plus x
+  lands in m), so one strided slice per x, for x = n down to 1, fills the
+  table; maximality is then one table lookup per absent element.
 * branch: one prefix-tree walk over the sum-free sets, counting f and f_max
   in a single pass with each node's blocked mask (sums, differences and
   halves) kept up to date, so a childless node is maximal iff one AND comes
@@ -81,43 +81,37 @@ def sum_free_mask_table(n: int) -> np.ndarray:
     size = 1 << n
     dp = np.zeros(size, dtype=bool)
     dp[0] = True
-    pc = np.empty(size, dtype=np.uint8)
-    chunk = 1 << 22
-    for a in range(0, size, chunk):
-        b = min(a + chunk, size)
-        pc[a:b] = np.bitwise_count(np.arange(a, b, dtype=np.int64))
-    for k in range(1, n + 1):
-        sel = np.flatnonzero(pc == k)
-        if sel.size == 0:
-            continue
-        low = sel & -sel
-        x = np.frexp(low.astype(np.float64))[1].astype(np.int64)  # min element
-        rest = sel ^ low
-        ok = dp[rest]
-        ok &= (rest & (rest >> x)) == 0  # no y with y + x in the set
-        ok &= ((rest >> (2 * x - 1)) & 1) == 0  # x + x not in the set
-        dp[sel] = ok
+    for x in range(n, 0, -1):
+        # masks with minimum x sit at (step >> 1) + rest, rest a multiple of
+        # step, and every such rest (all elements above x) is already filled
+        step = 1 << x
+        rest = np.arange(0, size, step, dtype=np.int32)  # n <= 26 fits
+        ok = dp[::step] & ((rest & (rest >> x)) == 0)  # no y with y + x in rest
+        ok &= ((rest >> (2 * x - 1)) & 1) == 0  # x + x not in rest
+        dp[step >> 1 :: step] = ok
     return dp
+
+
+def oracle_counts(n: int) -> tuple[int, int]:
+    """(f(n), f_max(n)) from one subset table.  Maximality is read off the
+    table by the definition, no single added element leaves the set
+    sum-free, so the route stays independent of the branch walk."""
+    dp = sum_free_mask_table(n)
+    masks = np.flatnonzero(dp)
+    maximal = np.ones(masks.size, dtype=bool)
+    for b in range(n):
+        maximal &= ((masks >> b) & 1).astype(bool) | ~dp[masks | (1 << b)]
+    return int(masks.size), int(maximal.sum())
 
 
 def f_oracle(n: int) -> int:
     """Number of sum-free subsets of [n] (empty set included)."""
-    return int(sum_free_mask_table(n).sum())
+    return oracle_counts(n)[0]
 
 
 def f_max_oracle(n: int) -> int:
-    """Number of maximal sum-free subsets of [n], by filtering the full
-    subset table through the definition: no single added element leaves the
-    set sum-free.  Deliberately avoids the branch route's addability
-    helpers so the two routes stay independent."""
-    dp = sum_free_mask_table(n)
-    count = 0
-    for m in np.flatnonzero(dp).tolist():
-        if all(
-            m >> x & 1 or not mask_is_sum_free(m | (1 << x)) for x in range(n)
-        ):
-            count += 1
-    return count
+    """Number of maximal sum-free subsets of [n], by the oracle table."""
+    return oracle_counts(n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 class RefinedCounts:
     """Counts attached to one (n, m, S) choice: the number of maximal
     sum-free sets with minimum m and lower fringe S, the MIS count of the
-    associated link graph, and the latter's ratio to 2^{n/4}."""
+    associated link graph, and, when 4 divides n, its exact ratio to 2^{n/4}."""
 
     n: int
     m: int
@@ -312,10 +306,6 @@ class RefinedCounts:
     msf: int
     mis_link: int
     ratio_c: Optional[Fraction]  # exact when 4 | n
-    ratio_scaled_4096: int  # round(mis_link * 2^12 / 2^{n/4}) otherwise
-
-    def ratio_float(self) -> float:
-        return self.mis_link / 2 ** (self.n / 4)
 
 
 def refined_counts(n: int, m: int, s_members: Iterable[int]) -> RefinedCounts:
@@ -349,8 +339,7 @@ def refined_counts(n: int, m: int, s_members: Iterable[int]) -> RefinedCounts:
         ratio: Optional[Fraction] = Fraction(mis_link, 1 << (n // 4))
     else:
         ratio = None
-    scaled = round(mis_link * 4096 / 2 ** (n / 4))
-    return RefinedCounts(n, m, s, msf, mis_link, ratio, scaled)
+    return RefinedCounts(n, m, s, msf, mis_link, ratio)
 
 
 # ---------------------------------------------------------------------------

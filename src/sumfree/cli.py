@@ -32,13 +32,14 @@ from .graph import (
 )
 from .group import AbelianGroup, f_group, f_max_group, mu
 from .linkgraph import link_family, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, mis_result
+from .mis import EnumerationLimitError, count_mis, enumerate_mis
+
+
+ENUMERATE_MAX_N = 64
 
 
 @dataclass
 class Config:
-    max_n: int = 64
-    enum_cap: int = 1_000_000
     workers: int = 1
     cache_dir: Path = None  # type: ignore[assignment]
     seed: int = 0
@@ -50,8 +51,6 @@ class Config:
             self.cache_dir = default_cache_dir()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.max_n > 64:
-            raise ValueError("max_n tops out at 64")
 
 
 _GLOBAL_DEFAULTS = {
@@ -150,8 +149,8 @@ def _family_graph(spec: str) -> Graph:
 
 def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= cfg.max_n:
-        print(f"n must lie in [1, {cfg.max_n}]", file=sys.stderr)
+    if not 1 <= n <= ENUMERATE_MAX_N:
+        print(f"n must lie in [1, {ENUMERATE_MAX_N}]", file=sys.stderr)
         return 2
     method = "oracle" if args.oracle else "branch"
     params = {"n": n, "method": method}
@@ -161,8 +160,7 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
     if payload is None:
         started = time.perf_counter()
         if args.oracle:
-            f = census.f_oracle(n)
-            fmax = census.f_max_oracle(n)
+            f, fmax = census.oracle_counts(n)
         else:
             f, fmax = census.branch_counts(n, workers=cfg.workers)
         elapsed = (time.perf_counter() - started) * 1000.0
@@ -186,10 +184,12 @@ def _cmd_mis(cfg: Config, args: argparse.Namespace) -> int:
         g = from_text(Path(args.graph).read_text())
     else:
         g = _family_graph(args.family)
-    result = mis_result(g, want_sets=args.list_sets, cap=cfg.enum_cap)
-    out = {"vertices": g.num_vertices, "count": str(result.count)}
-    if result.sets is not None:
-        out["sets"] = [list(s) for s in result.sets]
+    if args.list_sets:
+        sets = enumerate_mis(g)
+        out = {"vertices": g.num_vertices, "count": str(len(sets)),
+               "sets": [list(s) for s in sets]}
+    else:
+        out = {"vertices": g.num_vertices, "count": str(count_mis(g))}
     _emit(json.dumps(out, sort_keys=True))
     return 0
 

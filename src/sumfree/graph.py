@@ -61,12 +61,6 @@ class Graph:
     def index_of(self, label: int) -> int:
         return self.labels.index(label)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        iu, iv = self.index_of(u), self.index_of(v)
-        if iu == iv:
-            return bool(self.loops_mask >> iu & 1)
-        return bool(self.nbr[iu] >> iv & 1)
-
     def has_loop(self, v: int) -> bool:
         return bool(self.loops_mask >> self.index_of(v) & 1)
 
@@ -88,14 +82,6 @@ class Graph:
             lm ^= low
         return sorted(out)
 
-    def degree(self, v: int) -> int:
-        i = self.index_of(v)
-        return self.nbr[i].bit_count() + 2 * (self.loops_mask >> i & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        i = self.index_of(v)
-        return tuple(self.labels[j] for j in _bits(self.nbr[i]))
-
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.nbr) // 2 + self.loops_mask.bit_count()
 
@@ -105,10 +91,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def empty_graph(labels: Iterable[int] = ()) -> Graph:
-    return Graph.build(labels)
 
 
 def path(m: int) -> Graph:

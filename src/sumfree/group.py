@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .engine import maximal_sum_free_subsets, sum_free_subsets
+from .engine import _can_add, maximal_sum_free_subsets, sum_free_subsets
 
 GroupElem = tuple[int, ...]
 
@@ -158,7 +158,7 @@ def max_sum_free(group: AbelianGroup, limit: int = 24) -> GroupSubset:
         if len(members) + (n - pos) <= len(best):
             return
         for x in range(pos, n):
-            if _addable(members, member_mask, sums_mask, x, add):
+            if _can_add(members, member_mask, sums_mask, x, add):
                 row = add[x]
                 new_sums = sums_mask | (1 << row[x])
                 for a in members:
@@ -169,18 +169,6 @@ def max_sum_free(group: AbelianGroup, limit: int = 24) -> GroupSubset:
 
     rec(0, [], 0, 0)
     return GroupSubset.of(group, (group.from_index(i) for i in best))
-
-
-def _addable(members, member_mask, sums_mask, x, add) -> bool:
-    if sums_mask >> x & 1:
-        return False
-    row = add[x]
-    if row[x] == x or member_mask >> row[x] & 1:
-        return False
-    for a in members:
-        if member_mask >> row[a] & 1 or row[a] == x:
-            return False
-    return True
 
 
 def unique_half(group: AbelianGroup, x: GroupElem) -> GroupElem:

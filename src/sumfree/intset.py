@@ -19,7 +19,7 @@ the enumeration engine, which walks millions of masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -140,28 +140,6 @@ class IntSubset:
 
     def complement(self) -> "IntSubset":
         return IntSubset(self.ground, self.ground.universe_mask & ~self.mask)
-
-
-@dataclass(frozen=True)
-class SetStats:
-    """min, second-smallest, max, even count and size of a subset."""
-
-    min: Optional[int]
-    min2: Optional[int]
-    max: Optional[int]
-    even_count: int
-    size: int
-
-
-def set_stats(s: IntSubset) -> SetStats:
-    members = s.members
-    return SetStats(
-        min=members[0] if members else None,
-        min2=members[1] if len(members) >= 2 else None,
-        max=members[-1] if members else None,
-        even_count=sum(1 for e in members if e % 2 == 0),
-        size=len(members),
-    )
 
 
 def is_schur_triple(x: int, y: int, z: int) -> bool:

@@ -20,45 +20,9 @@ carry loops, and with max(S + {m}) below min(B) the graph is triangle-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .graph import Graph
 from .group import AbelianGroup, GroupSubset
-from .intset import GroundSet, IntSubset
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Parameters of one link-graph instance; S and B share a ground
-    structure and may overlap."""
-
-    ground: Union[GroundSet, AbelianGroup]
-    s: Union[IntSubset, GroupSubset]
-    b: Union[IntSubset, GroupSubset]
-
-
-@dataclass(frozen=True)
-class LinkFamilySpec:
-    """The upper-half family: link graph of S + {m} on [n/2+1, n]."""
-
-    n: int
-    m: int
-    s: IntSubset
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or 2 * self.m > self.n:
-            raise ValueError(f"m = {self.m} must lie in [1, n/2]")
-        if any(2 * x > self.n for x in self.s):
-            raise ValueError("S must lie inside [n/2]")
-
-
-def link_graph(spec: LinkSpec) -> Graph:
-    if isinstance(spec.ground, GroundSet):
-        assert isinstance(spec.s, IntSubset) and isinstance(spec.b, IntSubset)
-        return link_graph_ints(spec.s.members, spec.b.members)
-    assert isinstance(spec.s, GroupSubset) and isinstance(spec.b, GroupSubset)
-    return link_graph_group(spec.ground, spec.s, spec.b)
+from .intset import IntSubset
 
 
 def link_graph_ints(s_members, b_members) -> Graph:
@@ -101,9 +65,13 @@ def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Gra
 
 def link_family(n: int, m: int, s_members=()) -> Graph:
     """L(n, m, S): link graph of S + {m} on the upper half [n/2+1, n]."""
-    spec = LinkFamilySpec(n, m, IntSubset.of(n, s_members))
+    s = IntSubset.of(n, s_members)
+    if m < 1 or 2 * m > n:
+        raise ValueError(f"m = {m} must lie in [1, n/2]")
+    if any(2 * x > n for x in s):
+        raise ValueError("S must lie inside [n/2]")
     upper = range(n // 2 + 1, n + 1)
-    return link_graph_ints(set(spec.s.members) | {m}, upper)
+    return link_graph_ints(set(s.members) | {m}, upper)
 
 
 def link_single_even(n: int, x: int) -> Graph:

@@ -11,8 +11,10 @@ pair (candidates, excluded), so results are memoised on that pair.  The pivot
 rule branches over a closed neighbourhood, which keeps the branch factor at
 degree + 1 on the sparse structured graphs this package produces.
 
-Enumeration shares the same recursion without the memo table and returns sets
-in canonical order (lexicographic on sorted vertex labels).
+Enumeration counts first and refuses past its cap (unless the 3^{n/3} bound
+already keeps it under), then runs the same memoised recursion with lists of
+sets in place of counts, and returns sets in canonical order (lexicographic on
+sorted vertex labels).
 """
 
 from __future__ import annotations
@@ -38,23 +40,7 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an exact computation would exceed its configured cap."""
 
 
-@dataclass(frozen=True)
-class MisResult:
-    count: int
-    sets: Optional[tuple[tuple[int, ...], ...]]  # |sets| = count when present
-    elapsed_ms: float
-
-
-def mis_result(
-    g: Graph, want_sets: bool = False, limit: int = 80, cap: int = 1_000_000
-) -> MisResult:
-    """Count (and optionally enumerate) with timing, as one record."""
-    import time
-
-    started = time.perf_counter()
-    count = count_mis(g, limit=limit)
-    sets = tuple(enumerate_mis(g, cap=cap)) if want_sets else None
-    return MisResult(count, sets, (time.perf_counter() - started) * 1000.0)
+_VERTEX_LIMIT = 80  # loop-free vertices counted or listed
 
 
 def strip_loops(g: Graph) -> Graph:
@@ -67,28 +53,46 @@ def strip_loops(g: Graph) -> Graph:
     return induced_subgraph(g, keep)
 
 
-def count_mis(g: Graph, limit: int = 80) -> int:
-    """Exact number of maximal independent sets of `g`."""
+def _loop_free_core(g: Graph, limit: int) -> Graph:
     core = strip_loops(g)
     if core.num_vertices > limit:
         raise EnumerationLimitError(
             f"{core.num_vertices} loop-free vertices exceeds the limit {limit}"
         )
+    return core
+
+
+def count_mis(g: Graph, limit: int = _VERTEX_LIMIT) -> int:
+    """Exact number of maximal independent sets of `g`."""
     total = 1
-    for comp in connected_components(core):
-        total *= _count_component(comp)
+    for comp in connected_components(_loop_free_core(g, limit)):
+        total *= _component_mis(comp, 1, 0, lambda low, r: r)
     return total
 
 
 def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All maximal independent sets, as sorted label tuples in canonical
-    (lexicographic) order."""
-    if count_mis(g) > cap:
-        raise EnumerationLimitError(f"more than {cap} maximal independent sets")
-    core = strip_loops(g)
+    (lexicographic) order.  Raises before listing if there are more than
+    `cap`, so memory stays bounded by the output."""
+    core = _loop_free_core(g, _VERTEX_LIMIT)
+    comps = connected_components(core)
+    # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
+    if 3**core.num_vertices > cap**3:
+        total = 1
+        for comp in comps:
+            total *= _component_mis(comp, 1, 0, lambda low, r: r)
+            if total > cap:
+                raise EnumerationLimitError(f"more than {cap} maximal independent sets")
+
+    def extend(low: int, found: list[int]) -> list[int]:
+        return [low | s for s in found]
+
     sets: list[tuple[int, ...]] = [()]
-    for comp in connected_components(core):
-        comp_sets = _enumerate_component(comp)
+    for comp in comps:
+        comp_sets = [
+            tuple(comp.labels[i] for i in _bits(m))
+            for m in _component_mis(comp, [0], [], extend)
+        ]
         sets = [s + c for s in sets for c in comp_sets]
     return sorted(tuple(sorted(s)) for s in sets)
 
@@ -126,65 +130,40 @@ def _pivot(cand: int, excl: int, allowed: list[int]) -> int:
     return pivot
 
 
-def _count_component(comp: Graph) -> int:
+def _component_mis(comp: Graph, leaf, dead_end, extend):
+    """The maximal independent sets of a loop-free component, folded: a
+    maximal set found contributes `leaf`, a dead end `dead_end`, and a branch
+    on vertex bit `low` maps a sub-result r to `extend(low, r)`; the
+    branches add up.  Counting folds to (1, 0, r); listing index masks to
+    ([0], [], [low | s for s in r]).  Results are memoised on the pair
+    (candidates, excluded), which determines them."""
     n = comp.num_vertices
-    if n == 0:
-        return 1
     full = (1 << n) - 1
     # allowed[v]: vertices that may still join an independent set with v
     allowed = [full & ~comp.nbr[i] & ~(1 << i) for i in range(n)]
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], object] = {}
 
-    def rec(cand: int, excl: int) -> int:
+    def rec(cand: int, excl: int):
         if cand == 0:
-            return 1 if excl == 0 else 0
+            return dead_end if excl else leaf
         key = (cand, excl)
         hit = memo.get(key)
         if hit is not None:
             return hit
         branch = cand & ~allowed[_pivot(cand, excl, allowed)]
-        total = 0
+        total = dead_end
         c, x = cand, excl
-        bb = branch
-        while bb:
-            low = bb & -bb
+        while branch:
+            low = branch & -branch
             v = low.bit_length() - 1
-            bb ^= low
-            total += rec(c & allowed[v], x & allowed[v])
+            branch ^= low
+            total = total + extend(low, rec(c & allowed[v], x & allowed[v]))
             c &= ~low
             x |= low
         memo[key] = total
         return total
 
     return rec(full, 0)
-
-
-def _enumerate_component(comp: Graph) -> list[tuple[int, ...]]:
-    n = comp.num_vertices
-    if n == 0:
-        return [()]
-    full = (1 << n) - 1
-    allowed = [full & ~comp.nbr[i] & ~(1 << i) for i in range(n)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(chosen: int, cand: int, excl: int) -> None:
-        if cand == 0:
-            if excl == 0:
-                out.append(tuple(comp.labels[i] for i in _bits(chosen)))
-            return
-        branch = cand & ~allowed[_pivot(cand, excl, allowed)]
-        c, x = cand, excl
-        bb = branch
-        while bb:
-            low = bb & -bb
-            v = low.bit_length() - 1
-            bb ^= low
-            rec(chosen | low, c & allowed[v], x & allowed[v])
-            c &= ~low
-            x |= low
-
-    rec(0, full, 0)
-    return out
 
 
 _CYCLE_BASE: dict[int, int] = {}

@@ -21,9 +21,11 @@ from sumfree.census import (
     f_max_branch,
     f_max_oracle,
     f_oracle,
+    oracle_counts,
     refined_counts,
     single_even_census,
     small_sumset_count,
+    sum_free_mask_table,
     sum_free_subsets_of,
     two_step_enumerate,
 )
@@ -46,6 +48,19 @@ def test_oracle_frozen_values():
     assert [f_max_oracle(n) for n in range(1, 15)] == F_MAX_VALUES
     assert f_oracle(22) == 20982
     assert f_max_oracle(22) == 598
+
+
+def test_oracle_table_matches_definition():
+    for n in range(1, 15):
+        table = sum_free_mask_table(n)
+        assert table.tolist() == [mask_is_sum_free(m) for m in range(1 << n)], n
+        # maximality by the definition, one mask at a time
+        f_max = sum(
+            all(m >> x & 1 or not mask_is_sum_free(m | 1 << x) for x in range(n))
+            for m in range(1 << n)
+            if table[m]
+        )
+        assert oracle_counts(n) == (table.sum(), f_max)
 
 
 def test_oracle_limit():

@@ -176,7 +176,7 @@ def test_sumset_census_command(capsys):
 def test_usage_errors(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "enumerate")[0] == 2  # missing --n
-    assert invoke(capsys, "enumerate", "--n", "80")[0] == 2  # beyond max_n
+    assert invoke(capsys, "enumerate", "--n", "80")[0] == 2  # beyond the bound 64
     code, _, err = invoke(capsys, "group", "--desc", "K4", "--op", "mu")
     assert code == 2 and "error" in err
     code, _, err = invoke(capsys, "construct", "--family", "z2k", "--n", "8")
@@ -191,6 +191,9 @@ def test_bad_workers_is_a_usage_error(capsys):
 
 def test_enumeration_limit_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, "mis", "--family", "path:100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the limit" in err
+    code, out, err = invoke(capsys, "mis", "--family", "path:100", "--enumerate")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds the limit" in err
 

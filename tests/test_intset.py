@@ -14,7 +14,6 @@ from sumfree.intset import (
     is_schur_triple,
     is_sum_free,
     schur_triple_count,
-    set_stats,
     sumset,
     unordered_schur,
 )
@@ -88,16 +87,6 @@ def test_sumset_examples():
     assert sumset(IntSubset.of(5, []), IntSubset.of(5, [1, 2, 3])) == frozenset()
     a = IntSubset.of(4, [1, 3])
     assert sumset(a, a) == {2, 4, 6}
-
-
-def test_set_stats():
-    stats = set_stats(IntSubset.of(10, [3, 4, 8]))
-    assert (stats.min, stats.min2, stats.max) == (3, 4, 8)
-    assert stats.even_count == 2 and stats.size == 3
-    single = set_stats(IntSubset.of(10, [7]))
-    assert single.min == 7 and single.min2 is None
-    empty = set_stats(IntSubset.of(10, []))
-    assert empty.min is None and empty.size == 0
 
 
 @given(subsets)

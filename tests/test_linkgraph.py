@@ -8,12 +8,9 @@ import pytest
 
 from sumfree.graph import is_triangle_free
 from sumfree.group import AbelianGroup, GroupSubset
-from sumfree.intset import IntSubset, mask_is_sum_free
+from sumfree.intset import mask_is_sum_free
 from sumfree.linkgraph import (
-    LinkFamilySpec,
-    LinkSpec,
     link_family,
-    link_graph,
     link_graph_group,
     link_graph_ints,
     link_pair_even,
@@ -58,9 +55,11 @@ def test_loops_cover_sums_and_shifts():
 
 def test_spec_objects_validate():
     with pytest.raises(ValueError):
-        LinkFamilySpec(12, 7, IntSubset.of(12, []))
+        link_family(12, 7)
     with pytest.raises(ValueError):
-        LinkFamilySpec(12, 3, IntSubset.of(12, [8]))
+        link_family(12, 3, [8])
+    with pytest.raises(ValueError):
+        link_family(12, 0)
     with pytest.raises(ValueError):
         link_single_even(10, 3)
     with pytest.raises(ValueError):
@@ -68,9 +67,7 @@ def test_spec_objects_validate():
 
 
 def test_link_graph_dispatch():
-    ground = IntSubset.of(7, [2]).ground
-    spec = LinkSpec(ground, IntSubset.of(7, [2]), IntSubset.of(7, [5, 7]))
-    assert link_graph(spec).edges() == [(5, 7)]
+    assert link_graph_ints([2], [5, 7]).edges() == [(5, 7)]
 
 
 def test_group_link_perfect_matching():

@@ -111,6 +111,24 @@ def test_size_limit():
         count_mis(matching(10), limit=10)
     with pytest.raises(EnumerationLimitError):
         enumerate_mis(matching(12), cap=100)
+    with pytest.raises(EnumerationLimitError):
+        enumerate_mis(cycle(40), cap=1000)  # one component past the cap
+    with pytest.raises(EnumerationLimitError):
+        enumerate_mis(path(81))
+    # two components, each under the default cap, whose product is over it
+    two = disjoint_union(cycle(30), relabel(cycle(30), {i: i + 30 for i in range(30)}))
+    assert count_mis(cycle(30)) ** 2 > 1_000_000 > count_mis(cycle(30))
+    with pytest.raises(EnumerationLimitError):
+        enumerate_mis(two)
+    # three disjoint triangles meet the 3^{n/3} bound exactly: 27 sets
+    triangles = cycle(3)
+    for k in (1, 2):
+        triangles = disjoint_union(triangles, relabel(cycle(3), {i: i + 3 * k for i in range(3)}))
+    assert len(enumerate_mis(triangles, cap=27)) == 27
+    with pytest.raises(EnumerationLimitError):
+        enumerate_mis(triangles, cap=26)
+    exact = count_mis(cycle(12))
+    assert len(enumerate_mis(cycle(12), cap=exact)) == exact
 
 
 def test_bound_certificates_examples():
