@@ -86,13 +86,10 @@ def _report(
 
 def _random_sum_free(rng: random.Random, n: int, tries: int = 60) -> list[int]:
     mask = 0
-    sums = 0
     for _ in range(tries):
         x = rng.randint(1, n)
-        if not mask >> (x - 1) & 1 and mask_can_add(mask, sums, x):
-            t = mask | (1 << (x - 1))
-            sums |= t << x
-            mask = t
+        if mask_can_add(mask, x):
+            mask |= 1 << (x - 1)
     return list(iter_mask(mask))
 
 

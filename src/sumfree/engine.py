@@ -1,75 +1,60 @@
-"""Generic enumeration of sum-free subsets of a finite addition structure.
+"""Sum-free subsets of a finite abelian group, by one prefix-tree walk.
 
-The integer interval has a fast bigint specialisation elsewhere; this module
-handles any structure given as element indices 0..N-1 plus an addition table
-(used for finite abelian groups).  The recursion walks elements in index
-order, keeps the running set sum-free via incremental checks, and certifies
-maximality at the leaves by testing every absent element.
+Elements are indices 0..N-1 and `add` is the group's addition table.  The
+walk uses inverses, so `add` must be the table of an abelian group.  It is
+the group counterpart of `census._walker`: every node is a sum-free set S,
+grown in increasing index order, and carries
+
+    blocked = {e} | (S + S) | (S - S) | {y : y + y in S}
+
+(e the identity), the elements whose insertion would break sum-freeness.
+Inserting x adds x + x, the halves of x and, for every member a, x + a,
+x - a and a - x.  A node's children are the candidates above max S that are
+not blocked; a node is maximal iff it has no child and every element is in
+S or blocked.  Preorder visits the sets in sorted (lexicographic) order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 
-def _can_add(members: list[int], member_mask: int, sums_mask: int, x: int,
-             add: Sequence[Sequence[int]]) -> bool:
-    """Whether the sum-free set stays sum-free after inserting x."""
-    if sums_mask >> x & 1:  # x = a + b
-        return False
-    row = add[x]
-    if row[x] == x:  # x + x = x: the identity element
-        return False
-    if member_mask >> row[x] & 1:  # x + x = c
-        return False
-    for a in members:
-        if member_mask >> row[a] & 1 or row[a] == x:  # x + a in S, or x + a = x
-            return False
-    return True
-
-
-def sum_free_subsets(
-    n: int,
-    add: Sequence[Sequence[int]],
-    keep: Callable[[list[int], int, int], bool] | None = None,
-) -> list[tuple[int, ...]]:
-    """All sum-free subsets of the structure, optionally filtered by `keep`
-    (called with members, member_mask, sums_mask at each leaf)."""
-    out: list[tuple[int, ...]] = []
+def _walk(n: int, add: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every sum-free set in preorder, each with whether it is maximal."""
+    identity = next(x for x in range(n) if add[x][x] == x)
+    neg = [row.index(identity) for row in add]
+    halves = [0] * n
+    for y in range(n):
+        halves[add[y][y]] |= 1 << y
+    full = (1 << n) - 1
+    out: list[tuple[tuple[int, ...], bool]] = []
     members: list[int] = []
 
-    def rec(pos: int, member_mask: int, sums_mask: int) -> None:
-        if pos == n:
-            if keep is None or keep(members, member_mask, sums_mask):
-                out.append(tuple(members))
-            return
-        x = pos
-        rec(pos + 1, member_mask, sums_mask)
-        if _can_add(members, member_mask, sums_mask, x, add):
-            new_sums = sums_mask
+    def rec(cand: int, mask: int, blocked: int) -> None:
+        out.append((tuple(members), not cand and not full & ~mask & ~blocked))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
             row = add[x]
+            b = blocked | 1 << row[x] | halves[x]
             for a in members:
-                new_sums |= 1 << row[a]
-            new_sums |= 1 << row[x]
+                b |= 1 << row[a] | 1 << row[neg[a]] | 1 << add[a][neg[x]]
             members.append(x)
-            rec(pos + 1, member_mask | (1 << x), new_sums)
+            rec(cand & ~b, mask | low, b)
             members.pop()
 
-    rec(0, 0, 0)
+    rec(full & ~(1 << identity), 0, 1 << identity)
     return out
+
+
+def sum_free_subsets(n: int, add: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All sum-free subsets, in sorted order."""
+    return [s for s, _ in _walk(n, add)]
 
 
 def maximal_sum_free_subsets(
     n: int, add: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
-    """All maximal sum-free subsets, in canonical (sorted members) order."""
-
-    def keep(members: list[int], member_mask: int, sums_mask: int) -> bool:
-        for x in range(n):
-            if member_mask >> x & 1:
-                continue
-            if _can_add(members, member_mask, sums_mask, x, add):
-                return False
-        return True
-
-    return sorted(sum_free_subsets(n, add, keep))
+    """All maximal sum-free subsets, in sorted order."""
+    return [s for s, maximal in _walk(n, add) if maximal]

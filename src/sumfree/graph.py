@@ -351,32 +351,42 @@ def to_text(g: Graph) -> str:
 
 
 def from_text(text: str) -> Graph:
+    """Parse the `to_text` format, `g` header first.  A malformed line raises
+    ValueError naming it."""
     labels: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    loops: list[int] = []
+    edges: list[list[int]] = []
     n = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        if parts[0] == "g":
-            n = int(parts[1])
-        elif parts[0] == "v":
-            labels[int(parts[1])] = int(parts[2])
-        elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
-            if u == v:
-                loops.append(u)
-            else:
-                edges.append((u, v))
+        if not parts:
+            continue
+        kind, *fields = parts
+        where = f"graph line {number} {line.strip()!r}"
+        if len(fields) != {"g": 1, "v": 2, "e": 2}.get(kind):
+            raise ValueError(f"{where}: expected 'g n', 'v index label' or 'e u v'")
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"{where}: fields must be integers") from None
+        if kind == "g":
+            if n is not None:
+                raise ValueError(f"{where}: repeated g header")
+            n = values[0]
+        elif n is None:
+            raise ValueError(f"{where}: comes before the g header")
+        elif not all(0 <= i < n for i in (values if kind == "e" else values[:1])):
+            raise ValueError(f"{where}: vertex index outside [0, {n})")
+        elif kind == "e":
+            edges.append(values)
+        elif values[0] in labels:
+            raise ValueError(f"{where}: duplicate vertex index")
         else:
-            raise ValueError(f"bad graph line: {line!r}")
+            labels[values[0]] = values[1]
     if n is None or len(labels) != n:
         raise ValueError("vertex count does not match header")
     lab = [labels[i] for i in range(n)]
     return Graph.build(
         lab,
-        [(lab[u], lab[v]) for u, v in edges],
-        [lab[v] for v in loops],
+        [(lab[u], lab[v]) for u, v in edges if u != v],
+        [lab[u] for u, v in edges if u == v],
     )

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .engine import _can_add, maximal_sum_free_subsets, sum_free_subsets
+from .engine import maximal_sum_free_subsets, sum_free_subsets
 
 GroupElem = tuple[int, ...]
 
@@ -137,38 +137,26 @@ def is_sum_free_group(s: GroupSubset) -> bool:
     return True
 
 
+def _table(group: AbelianGroup, limit: int) -> list[list[int]]:
+    """The addition table of a group whose order is within the search limit."""
+    if group.order > limit:
+        raise ValueError(f"group order {group.order} exceeds the search limit {limit}")
+    return group.add_table()
+
+
+def _subset(group: AbelianGroup, indices: tuple[int, ...]) -> GroupSubset:
+    return GroupSubset.of(group, map(group.from_index, indices))
+
+
 def mu(group: AbelianGroup, limit: int = 24) -> int:
-    """Size of the largest sum-free subset, by branch-and-bound search."""
+    """Size of the largest sum-free subset."""
     return len(max_sum_free(group, limit).members)
 
 
 def max_sum_free(group: AbelianGroup, limit: int = 24) -> GroupSubset:
-    """A maximum-size sum-free subset (the lexicographically first one the
-    branch-and-bound search settles on)."""
-    n = group.order
-    if n > limit:
-        raise ValueError(f"group order {n} exceeds the search limit {limit}")
-    add = group.add_table()
-    best: list[int] = []
-
-    def rec(pos: int, members: list[int], member_mask: int, sums_mask: int) -> None:
-        nonlocal best
-        if len(members) > len(best):
-            best = members.copy()
-        if len(members) + (n - pos) <= len(best):
-            return
-        for x in range(pos, n):
-            if _can_add(members, member_mask, sums_mask, x, add):
-                row = add[x]
-                new_sums = sums_mask | (1 << row[x])
-                for a in members:
-                    new_sums |= 1 << row[a]
-                members.append(x)
-                rec(x + 1, members, member_mask | (1 << x), new_sums)
-                members.pop()
-
-    rec(0, [], 0, 0)
-    return GroupSubset.of(group, (group.from_index(i) for i in best))
+    """A maximum-size sum-free subset: the lexicographically first by index."""
+    best = max(sum_free_subsets(group.order, _table(group, limit)), key=len)
+    return _subset(group, best)
 
 
 def unique_half(group: AbelianGroup, x: GroupElem) -> GroupElem:
@@ -197,25 +185,15 @@ def coset_partition(group: AbelianGroup, r: int) -> list[GroupSubset]:
 
 
 def enumerate_sum_free_group(group: AbelianGroup, limit: int = 24) -> list[GroupSubset]:
-    if group.order > limit:
-        raise ValueError(f"group order {group.order} exceeds the limit {limit}")
-    add = group.add_table()
-    subsets = sum_free_subsets(group.order, add)
-    return [
-        GroupSubset.of(group, (group.from_index(i) for i in s)) for s in subsets
-    ]
+    subsets = sum_free_subsets(group.order, _table(group, limit))
+    return [_subset(group, s) for s in subsets]
 
 
 def enumerate_maximal_sum_free_group(
     group: AbelianGroup, limit: int = 24
 ) -> list[GroupSubset]:
-    if group.order > limit:
-        raise ValueError(f"group order {group.order} exceeds the limit {limit}")
-    add = group.add_table()
-    subsets = maximal_sum_free_subsets(group.order, add)
-    return [
-        GroupSubset.of(group, (group.from_index(i) for i in s)) for s in subsets
-    ]
+    subsets = maximal_sum_free_subsets(group.order, _table(group, limit))
+    return [_subset(group, s) for s in subsets]
 
 
 def f_group(group: AbelianGroup, limit: int = 24) -> int:

@@ -85,22 +85,9 @@ def mask_blocked(mask: int) -> int:
     return blocked
 
 
-def mask_can_add(mask: int, sums: int, x: int) -> bool:
-    """Whether sum-free `mask` stays sum-free after adding x.
-
-    `sums` must be the bitmask of mask+mask (maintained incrementally by the
-    enumeration engine as sums |= (T << x) on each insertion).
-    """
-    bit = 1 << (x - 1)
-    if sums & bit:  # x = y + z
-        return False
-    if mask & (mask >> x):  # y + x = z
-        return False
-    if x % 2 == 0 and mask & (1 << (x // 2 - 1)):  # y + y = x
-        return False
-    if mask >> (2 * x - 1) & 1:  # x + x = z
-        return False
-    return True
+def mask_can_add(mask: int, x: int) -> bool:
+    """Whether x is outside sum-free `mask` and can join it."""
+    return not (mask | mask_blocked(mask)) >> (x - 1) & 1
 
 
 @dataclass(frozen=True)

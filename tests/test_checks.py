@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from sumfree.checks import (
     ALL_CHECKS,
+    _random_sum_free,
     check_cycle_recurrence,
     check_even_link_constants,
     check_even_link_decomposition,
@@ -43,6 +46,14 @@ def test_link_triangle_free_deterministic():
     b = check_link_triangle_free(trials=60, n_max=30, seed=11)
     assert a.passed and b.passed
     assert a.instances_checked == b.instances_checked == 60
+
+
+def test_random_sum_free_draws_are_pinned():
+    # `verify` output depends on these draws
+    r = random.Random(5)
+    assert [_random_sum_free(r, n) for n in (5, 9, 13)] == [
+        [1, 3, 5], [2, 5, 6, 9], [2, 6, 9, 10, 13]
+    ]
 
 
 def test_two_step_mis_small():

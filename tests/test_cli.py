@@ -118,6 +118,25 @@ def test_mis_family_and_graph_file(capsys, tmp_path, cache_dir):
     assert from_text(text).num_vertices == 8
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "g 2\nv 0 1\nv 1 2\ne 0 5\n",
+        "g\n",
+        "g 2\nv 0 1\nv 1 2\ne 0\n",
+        "g 2\nv 0 1\nv 1 2\ne 0 -1\n",
+        "g 2\nv 0 1\nv 0 3\nv 1 2\n",
+        "g 2\ng 2\nv 0 1\nv 1 2\n",
+    ],
+)
+def test_malformed_graph_file_is_a_usage_error(capsys, tmp_path, text):
+    gfile = tmp_path / "bad.txt"
+    gfile.write_text(text)
+    code, out, err = invoke(capsys, "--no-cache", "mis", "--graph", str(gfile))
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph line ") and err.count("\n") == 1
+
+
 def test_link_even_pair(capsys):
     code, out, _ = invoke(capsys, "link", "--n", "12", "--even", "8", "--even2", "10")
     assert code == 0 and out.startswith("g 6")

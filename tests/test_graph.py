@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +129,35 @@ def test_loop_degree_rule(g):
 @settings(max_examples=80)
 def test_text_round_trip(g):
     assert from_text(to_text(g)) == g
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ("g 2\nv 0 1\nv 1 2\ne 0 5\n", 4, "outside [0, 2)"),
+        ("g 2\nv 0 1\nv 1 2\ne 0 -1\n", 4, "outside [0, 2)"),
+        ("g 1\nv 1 7\n", 2, "outside [0, 1)"),
+        ("g\n", 1, "expected"),
+        ("g 2\nv 0 1\nv 1 2\ne 0\n", 4, "expected"),
+        ("g 1\nv 0 1 2\n", 2, "expected"),
+        ("g 1\nx 0\n", 2, "expected"),
+        ("g 1\nv 0 one\n", 2, "integers"),
+        ("g 2\nv 0 1\nv 0 3\nv 1 2\n", 3, "duplicate vertex index"),
+        ("g 1\nv 0 1\ng 1\n", 3, "repeated g header"),
+        ("v 0 1\ng 1\n", 1, "before the g header"),
+    ],
+)
+def test_from_text_rejects_malformed_lines(text, line, reason):
+    with pytest.raises(ValueError, match=rf"^graph line {line} .*{re.escape(reason)}"):
+        from_text(text)
+
+
+def test_from_text_vertex_count():
+    with pytest.raises(ValueError, match="does not match header"):
+        from_text("g 2\nv 0 1\n")
+    assert from_text("g 0\n").num_vertices == 0
+    g = from_text("\ng 3\nv 0 4\nv 1 5\n  v 2 6\ne 0 1\ne 2 2\n")
+    assert g == Graph.build([4, 5, 6], [(4, 5)], [6])
 
 
 @given(random_graphs())

@@ -11,6 +11,7 @@ from sumfree.group import (
     GroupSubset,
     coset_partition,
     enumerate_maximal_sum_free_group,
+    enumerate_sum_free_group,
     f_group,
     f_max_group,
     is_sum_free_group,
@@ -23,24 +24,30 @@ Z5 = AbelianGroup((5,))
 Z22 = AbelianGroup((2, 2))
 
 
-def brute_force_group_counts(group: AbelianGroup) -> tuple[int, int]:
-    """Oracle over all subsets of the group."""
+def brute_force_sum_free(group: AbelianGroup) -> tuple[list, list]:
+    """Oracle over all subsets: every sum-free set and every maximal one, as
+    sorted tuples of element indices."""
     elements = group.elements()
-    f = fmax = 0
+    sets, maximal = [], []
     for r in range(len(elements) + 1):
         for combo in combinations(elements, r):
             s = GroupSubset.of(group, combo)
             if not is_sum_free_group(s):
                 continue
-            f += 1
+            key = tuple(sorted(map(group.index_of, combo)))
+            sets.append(key)
             extendable = any(
                 g not in s.members
                 and is_sum_free_group(GroupSubset.of(group, set(combo) | {g}))
                 for g in elements
             )
             if not extendable:
-                fmax += 1
-    return f, fmax
+                maximal.append(key)
+    return sets, maximal
+
+
+def indices(group: AbelianGroup, s: GroupSubset) -> tuple[int, ...]:
+    return tuple(sorted(map(group.index_of, s.members)))
 
 
 def test_arithmetic():
@@ -123,13 +130,32 @@ def test_coset_partition():
 
 
 def test_group_counts_against_oracle():
-    for desc in ("Z2", "Z3", "Z2xZ2", "Z5", "Z6", "Z7"):
+    # every factorization into cyclic factors of order <= 12
+    for desc in ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z2xZ3", "Z7", "Z8",
+                 "Z2xZ4", "Z2xZ2xZ2", "Z9", "Z3xZ3", "Z10", "Z2xZ5", "Z11",
+                 "Z12", "Z2xZ6", "Z3xZ4", "Z2xZ2xZ3"):
         grp = AbelianGroup.parse(desc)
-        f, fmax = brute_force_group_counts(grp)
-        assert f_group(grp) == f, desc
-        assert f_max_group(grp) == fmax, desc
+        sets, maximal = brute_force_sum_free(grp)
+        assert f_group(grp) == len(sets), desc
+        assert {indices(grp, s) for s in enumerate_sum_free_group(grp)} == set(sets)
+        assert f_max_group(grp) == len(maximal), desc
+        assert [
+            indices(grp, s) for s in enumerate_maximal_sum_free_group(grp)
+        ] == sorted(maximal), desc
+        longest = max(map(len, sets))
+        first = min(s for s in sets if len(s) == longest)
+        assert indices(grp, max_sum_free(grp)) == first, desc
     assert f_group(AbelianGroup((2,))) == 2
     assert f_max_group(AbelianGroup((2,))) == 1
+
+
+def test_order_limit():
+    grp = AbelianGroup((5, 5))
+    for search in (mu, max_sum_free, enumerate_sum_free_group,
+                   enumerate_maximal_sum_free_group, f_group, f_max_group):
+        with pytest.raises(ValueError, match="exceeds the search limit 24"):
+            search(grp)
+    assert mu(grp, limit=25) == 10  # (p + 1) n / 3p for p = 5
 
 
 def test_maximal_enumeration_members_are_maximal():

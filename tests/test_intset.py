@@ -13,6 +13,8 @@ from sumfree.intset import (
     is_maximal_sum_free,
     is_schur_triple,
     is_sum_free,
+    mask_can_add,
+    mask_is_sum_free,
     schur_triple_count,
     sumset,
     unordered_schur,
@@ -105,6 +107,17 @@ def test_addable_extension_stays_sum_free(s):
     for x in range(1, s.n + 1):
         if x not in s and x not in addable_elements(s):
             assert not is_sum_free(s.with_element(x))
+
+
+def test_mask_can_add_matches_definition():
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            if not mask_is_sum_free(mask):
+                continue
+            for x in range(1, n + 1):
+                bit = 1 << (x - 1)
+                expected = not mask & bit and mask_is_sum_free(mask | bit)
+                assert mask_can_add(mask, x) == expected, (n, mask, x)
 
 
 @given(subsets)
