@@ -2,8 +2,9 @@
 
 Entries are keyed by (operation, parameters, code-version tag) so a version
 bump invalidates everything, and stored as the JSON payload the operation
-would emit.  A corrupt entry is treated as a miss; the caller recomputes and
-overwrites it.  Stores rename a finished temporary file over the entry.
+would emit.  An entry that is corrupt, was stored for another request or
+fails the caller's payload check (`valid`) is treated as a miss; the caller
+recomputes and overwrites it.  Stores rename a finished temporary file over the entry.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 VERSION_TAG = "sumfree-0.1.0"
 
@@ -31,17 +32,22 @@ def cache_key(operation: str, params: Any, version: str = VERSION_TAG) -> str:
 
 
 def cache_lookup(
-    cache_dir: Path, operation: str, params: Any, version: str = VERSION_TAG
+    cache_dir: Path,
+    operation: str,
+    params: Any,
+    version: str = VERSION_TAG,
+    valid: Callable[[Any], bool] = lambda payload: True,
 ) -> Optional[Any]:
     path = cache_dir / f"{cache_key(operation, params, version)}.json"
     if not path.exists():
         return None
     try:
         entry = json.loads(path.read_text())
-        if entry["operation"] != operation or entry["version"] != version:
-            return None
+        stored = (entry["operation"], entry["params"], entry["version"])
+        if stored != (operation, params, version) or not valid(entry["payload"]):
+            raise ValueError("entry does not match the request")
         return entry["payload"]
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"warning: corrupt cache entry {path.name}: {exc}", file=sys.stderr)
         return None
 

@@ -36,6 +36,14 @@ from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 
 ENUMERATE_MAX_N = 64
+# value types of the payloads `enumerate` and `constants` cache
+_RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}
+_ROW_TYPES = {"n": int, "residue_mod_4": int, "total": str, "restricted": str,
+              "geometric_closed_form": str, "ratio": float}
+
+
+def _types(row) -> dict:
+    return {k: type(v) for k, v in row.items()} if isinstance(row, dict) else {}
 
 
 @dataclass
@@ -155,7 +163,9 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
     method = "oracle" if args.oracle else "branch"
     params = {"n": n, "method": method}
     payload = (
-        cache_lookup(cfg.cache_dir, "enumerate", params) if cfg.use_cache else None
+        cache_lookup(cfg.cache_dir, "enumerate", params, valid=lambda p: (
+            _types(p) == _RECORD_TYPES and (p["ground"], p["method"]) == (str(n), method)))
+        if cfg.use_cache else None
     )
     if payload is None:
         started = time.perf_counter()
@@ -311,7 +321,11 @@ def _cmd_verify(cfg: Config, args: argparse.Namespace) -> int:
 def _cmd_constants(cfg: Config, args: argparse.Namespace) -> int:
     params = {"n_max": args.n_max}
     payload = (
-        cache_lookup(cfg.cache_dir, "constants", params) if cfg.use_cache else None
+        cache_lookup(cfg.cache_dir, "constants", params, valid=lambda p: (
+            isinstance(p, list)
+            and [r["n"] if _types(r) == _ROW_TYPES else None for r in p]
+            == list(range(4, args.n_max + 1))))
+        if cfg.use_cache else None
     )
     if payload is None:
         rows = []

@@ -5,10 +5,11 @@ group-element indices), so a link graph's vertices can always be traced back
 to the set elements that produced them.  At most one loop per vertex; a loop
 contributes two to the degree of its vertex but counts as one edge.
 
-Internally a graph stores sorted labels plus one neighbour bitmask per
-vertex, which keeps triangle tests, component splits and isomorphism search
-cheap for the desk-scale instances handled here (<= 64 vertices for
-isomorphism, a few hundred elsewhere).
+Internally a graph stores sorted labels plus index bitmasks (one neighbour
+mask per vertex, one loop mask); components and subgraphs are cut from those
+masks, never rebuilt from label pairs.  That keeps triangle tests, component
+splits and isomorphism search cheap for the desk-scale instances handled
+here (<= 64 vertices for isomorphism, a few hundred elsewhere).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class Graph:
                 raise ValueError("adjacency mask out of range")
             if m >> i & 1:
                 raise ValueError("self-adjacency must be recorded via loops")
+            if any(not self.nbr[j] >> i & 1 for j in _bits(m)):
+                raise ValueError("adjacency is not symmetric")
 
     @classmethod
     def build(
@@ -57,12 +60,6 @@ class Graph:
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
-
-    def index_of(self, label: int) -> int:
-        return self.labels.index(label)
-
-    def has_loop(self, v: int) -> bool:
-        return bool(self.loops_mask >> self.index_of(v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted label pairs (u <= v); loops appear as (v, v)."""
@@ -140,17 +137,12 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """G box H; vertex (i, j) gets label i * |H| + j (index positions)."""
     nh = h.num_vertices
-    labels = [i * nh + j for i in range(g.num_vertices) for j in range(nh)]
-    edges = []
-    for i in range(g.num_vertices):
-        for j in range(nh):
-            for j2 in _bits(h.nbr[j]):
-                if j2 > j:
-                    edges.append((i * nh + j, i * nh + j2))
-            for i2 in _bits(g.nbr[i]):
-                if i2 > i:
-                    edges.append((i * nh + j, i2 * nh + j))
-    return Graph.build(labels, edges)
+    nbr = [
+        h.nbr[j] << (i * nh) | sum(1 << (i2 * nh + j) for i2 in _bits(g.nbr[i]))
+        for i in range(g.num_vertices)
+        for j in range(nh)
+    ]
+    return Graph(tuple(range(len(nbr))), tuple(nbr), 0)
 
 
 def prism() -> Graph:
@@ -182,32 +174,47 @@ def degree_stats(g: Graph) -> tuple[int, int, int]:
     return (min(degs), max(degs), g.edge_count())
 
 
-def connected_components(g: Graph) -> list[Graph]:
-    """Split into induced subgraphs, one per connected component."""
-    n = g.num_vertices
-    seen = 0
+def component_masks(g: Graph, within: int = -1) -> list[int]:
+    """Index masks of the connected components of the subgraph induced on
+    the index mask `within` (every vertex by default), by lowest index."""
+    rest = within & ((1 << g.num_vertices) - 1)
     comps = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
             for i in _bits(frontier):
                 nxt |= g.nbr[i]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(induced_subgraph(g, [g.labels[i] for i in _bits(comp)]))
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        comps.append(comp)
     return comps
 
 
+def connected_components(g: Graph) -> list[Graph]:
+    """Split into induced subgraphs, one per connected component."""
+    return [_induced(g, c) for c in component_masks(g)]
+
+
 def induced_subgraph(g: Graph, labels: Sequence[int]) -> Graph:
+    """The subgraph induced on the given labels; labels not in `g` are ignored."""
     keep = set(labels)
-    edges = [(u, v) for u, v in g.edges() if u != v and u in keep and v in keep]
-    loops = [v for v, w in g.edges() if v == w and v in keep]
-    return Graph.build(sorted(keep), edges, loops)
+    return _induced(g, sum(1 << i for i, v in enumerate(g.labels) if v in keep))
+
+
+def _induced(g: Graph, keep: int) -> Graph:
+    """The subgraph induced on the index mask `keep`, index bits compacted."""
+    idx = list(_bits(keep))
+
+    def compact(mask: int) -> int:
+        return sum(1 << k for k, i in enumerate(idx) if mask >> i & 1)
+
+    return Graph(
+        tuple(g.labels[i] for i in idx),
+        tuple(compact(g.nbr[i]) for i in idx),
+        compact(g.loops_mask),
+    )
 
 
 def disjoint_p3_packing(g: Graph, exact_limit: int = 30) -> int:

@@ -198,9 +198,9 @@ def enumerate_maximal_sum_free_group(
 
 def f_group(group: AbelianGroup, limit: int = 24) -> int:
     """Number of sum-free subsets of the group (empty set included)."""
-    return len(enumerate_sum_free_group(group, limit))
+    return len(sum_free_subsets(group.order, _table(group, limit)))
 
 
 def f_max_group(group: AbelianGroup, limit: int = 24) -> int:
     """Number of maximal sum-free subsets of the group."""
-    return len(enumerate_maximal_sum_free_group(group, limit))
+    return len(maximal_sum_free_subsets(group.order, _table(group, limit)))

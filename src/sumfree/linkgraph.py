@@ -29,15 +29,17 @@ def link_graph_ints(s_members, b_members) -> Graph:
     """Integer link graph; vertex labels are the elements of B."""
     s = set(s_members)
     b = sorted(set(b_members))
-    edges = []
+    bit = {x: 1 << i for i, x in enumerate(b)}
+    nbr = []
     for i, x in enumerate(b):
-        for y in b[i + 1 :]:
-            if (x + y) in s or (y - x) in s:
-                edges.append((x, y))
+        near = 0
+        for z in s:  # y ~ x iff y is x + z, z - x or x - z for some z in S
+            near |= bit.get(x + z, 0) | bit.get(z - x, 0) | bit.get(x - z, 0)
+        nbr.append(near & ~(1 << i))
     sums = {z + w for z in s for w in s}
     diffs = {z - w for z in s for w in s if z > w}
-    loops = [x for x in b if 2 * x in s or x in sums or x in diffs]
-    return Graph.build(b, edges, loops)
+    loops = sum(1 << i for i, x in enumerate(b) if 2 * x in s or x in sums or x in diffs)
+    return Graph(tuple(b), tuple(nbr), loops)
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:

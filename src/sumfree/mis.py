@@ -2,12 +2,13 @@
 
 On a graph with loops, a loop vertex can never join an independent set and
 never blocks the maximality of the others beyond its ordinary edges, so
-counting deletes every loop vertex first and counts on the remainder.
+counting keeps to the loop-free vertices, the index mask `~loops_mask`.
 
-Counting works per connected component and multiplies the results.  Inside a
-component the recursion is the classic candidates/excluded scheme: the number
-of maximal independent sets extending the current choice depends only on the
-pair (candidates, excluded), so results are memoised on that pair.  The pivot
+Counting works per connected component of those (an index mask, not a
+rebuilt subgraph) and multiplies the results.  Inside a component the
+recursion is the classic candidates/excluded scheme: the number of maximal
+independent sets extending the current choice depends only on the pair
+(candidates, excluded), so results are memoised on that pair.  The pivot
 rule branches over a closed neighbourhood, which keeps the branch factor at
 degree + 1 on the sparse structured graphs this package produces.
 
@@ -27,11 +28,11 @@ from typing import Optional
 from .graph import (
     Graph,
     _bits,
-    connected_components,
+    _induced,
+    component_masks,
     cycle,
     degree_stats,
     disjoint_p3_packing,
-    induced_subgraph,
     is_triangle_free,
 )
 
@@ -43,75 +44,46 @@ class EnumerationLimitError(RuntimeError):
 _VERTEX_LIMIT = 80  # loop-free vertices counted or listed
 
 
-def strip_loops(g: Graph) -> Graph:
-    """Delete every loop vertex (with its incident edges).
-
-    The maximal independent sets of the result are exactly those of the
-    input, so the MIS count is preserved.
-    """
-    keep = [v for i, v in enumerate(g.labels) if not g.loops_mask >> i & 1]
-    return induced_subgraph(g, keep)
-
-
-def _loop_free_core(g: Graph, limit: int) -> Graph:
-    core = strip_loops(g)
-    if core.num_vertices > limit:
+def _loop_free_components(g: Graph, limit: int) -> list[int]:
+    """Index masks of the components of `g` without its loop vertices."""
+    free = ((1 << g.num_vertices) - 1) & ~g.loops_mask
+    if free.bit_count() > limit:
         raise EnumerationLimitError(
-            f"{core.num_vertices} loop-free vertices exceeds the limit {limit}"
+            f"{free.bit_count()} loop-free vertices exceeds the limit {limit}"
         )
-    return core
+    return component_masks(g, free)
 
 
 def count_mis(g: Graph, limit: int = _VERTEX_LIMIT) -> int:
     """Exact number of maximal independent sets of `g`."""
-    total = 1
-    for comp in connected_components(_loop_free_core(g, limit)):
-        total *= _component_mis(comp, 1, 0, lambda low, r: r)
-    return total
+    comps = _loop_free_components(g, limit)
+    count = _component_mis(g, 1, 0, lambda low, r: r)
+    return math.prod(count(comp, 0) for comp in comps)
 
 
 def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All maximal independent sets, as sorted label tuples in canonical
     (lexicographic) order.  Raises before listing if there are more than
     `cap`, so memory stays bounded by the output."""
-    core = _loop_free_core(g, _VERTEX_LIMIT)
-    comps = connected_components(core)
+    comps = _loop_free_components(g, _VERTEX_LIMIT)
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
-    if 3**core.num_vertices > cap**3:
+    if 3 ** sum(c.bit_count() for c in comps) > cap**3:
+        count = _component_mis(g, 1, 0, lambda low, r: r)
         total = 1
         for comp in comps:
-            total *= _component_mis(comp, 1, 0, lambda low, r: r)
+            total *= count(comp, 0)
             if total > cap:
                 raise EnumerationLimitError(f"more than {cap} maximal independent sets")
 
     def extend(low: int, found: list[int]) -> list[int]:
         return [low | s for s in found]
 
+    listing = _component_mis(g, [0], [], extend)
     sets: list[tuple[int, ...]] = [()]
     for comp in comps:
-        comp_sets = [
-            tuple(comp.labels[i] for i in _bits(m))
-            for m in _component_mis(comp, [0], [], extend)
-        ]
+        comp_sets = [tuple(g.labels[i] for i in _bits(m)) for m in listing(comp, 0)]
         sets = [s + c for s in sets for c in comp_sets]
     return sorted(tuple(sorted(s)) for s in sets)
-
-
-def is_maximal_independent(g: Graph, vertices: tuple[int, ...]) -> bool:
-    """Membership test equivalent to `tuple(sorted(v)) in enumerate_mis(g)`."""
-    idx = {v: i for i, v in enumerate(g.labels)}
-    chosen = 0
-    for v in vertices:
-        chosen |= 1 << idx[v]
-    if chosen & g.loops_mask:
-        return False
-    dominated = chosen
-    for i in _bits(chosen):
-        if g.nbr[i] & chosen:
-            return False
-        dominated |= g.nbr[i]
-    dominated |= g.loops_mask
-    return dominated == (1 << g.num_vertices) - 1
 
 
 def _pivot(cand: int, excl: int, allowed: list[int]) -> int:
@@ -130,17 +102,17 @@ def _pivot(cand: int, excl: int, allowed: list[int]) -> int:
     return pivot
 
 
-def _component_mis(comp: Graph, leaf, dead_end, extend):
-    """The maximal independent sets of a loop-free component, folded: a
-    maximal set found contributes `leaf`, a dead end `dead_end`, and a branch
-    on vertex bit `low` maps a sub-result r to `extend(low, r)`; the
-    branches add up.  Counting folds to (1, 0, r); listing index masks to
-    ([0], [], [low | s for s in r]).  Results are memoised on the pair
-    (candidates, excluded), which determines them."""
-    n = comp.num_vertices
+def _component_mis(g: Graph, leaf, dead_end, extend):
+    """`rec`, with `rec(comp, 0)` the maximal independent sets of the
+    loop-free component `comp` (an index mask of `g`), folded: a maximal set
+    found contributes `leaf`, a dead end `dead_end`, and a branch on vertex
+    bit `low` maps a sub-result r to `extend(low, r)`; the branches add up.
+    Counting folds to (1, 0, r); listing index masks to ([0], [], [low | s
+    for s in r]).  Memoised on (candidates, excluded), which determines it."""
+    n = g.num_vertices
     full = (1 << n) - 1
     # allowed[v]: vertices that may still join an independent set with v
-    allowed = [full & ~comp.nbr[i] & ~(1 << i) for i in range(n)]
+    allowed = [full & ~g.nbr[i] & ~(1 << i) for i in range(n)]
     memo: dict[tuple[int, int], object] = {}
 
     def rec(cand: int, excl: int):
@@ -163,7 +135,7 @@ def _component_mis(comp: Graph, leaf, dead_end, extend):
         memo[key] = total
         return total
 
-    return rec(full, 0)
+    return rec
 
 
 _CYCLE_BASE: dict[int, int] = {}
@@ -251,14 +223,13 @@ def bound_certificates(g: Graph, p3_exact_limit: int = 30) -> BoundCertificates:
     # removal variant: delete a triangle-hitting set T, apply the dense
     # refinement to the rest, pay 2^{101 |T| / 100}
     if simple and big_delta >= 1:
-        t_set = _triangle_hitting_set(g)
-        rest = induced_subgraph(g, [v for v in g.labels if v not in t_set])
+        rest = _induced(g, _triangle_free_part(g))
         np_, ep = rest.num_vertices, rest.edge_count()
         k = Fraction(2 * ep - np_, 2)
         expo = (
             Fraction(np_, 2)
             - k / (100 * big_delta * big_delta)
-            + Fraction(101 * len(t_set), 100)
+            + Fraction(101 * (n - np_), 100)
         )
         checks.append(
             BoundCheck("almost-triangle-free", True, float(expo), _leq_power(exact, 2, expo))
@@ -301,9 +272,8 @@ def bound_certificates(g: Graph, p3_exact_limit: int = 30) -> BoundCertificates:
     return BoundCertificates(exact, tuple(checks))
 
 
-def _triangle_hitting_set(g: Graph) -> set[int]:
-    """Greedy vertex set whose removal leaves the graph triangle-free."""
-    removed: set[int] = set()
+def _triangle_free_part(g: Graph) -> int:
+    """Index mask left once a greedy triangle-hitting vertex set is removed."""
     n = g.num_vertices
     active = (1 << n) - 1
     while True:
@@ -321,7 +291,6 @@ def _triangle_hitting_set(g: Graph) -> set[int]:
             if tri:
                 break
         if tri is None:
-            return removed
+            return active
         drop = max(tri, key=lambda v: (g.nbr[v] & active).bit_count())
         active &= ~(1 << drop)
-        removed.add(g.labels[drop])

@@ -68,6 +68,47 @@ def test_corrupt_cache_recovers(capsys, cache_dir):
     assert json.loads(entry.read_text())["payload"]["f"] == 108  # overwritten
 
 
+_RECORD_5 = {"ground": "5", "f": 16, "f_max": 5, "method": "branch", "elapsed_ms": 0.1}
+
+
+@pytest.mark.parametrize(
+    "argv, operation, params, stored_params, payload",
+    [
+        (["enumerate", "--n", "5"], "enumerate", {"n": 5, "method": "branch"},
+         None, {"f": 1}),
+        (["enumerate", "--n", "5"], "enumerate", {"n": 5, "method": "branch"},
+         None, {**_RECORD_5, "ground": "6"}),
+        (["enumerate", "--n", "5"], "enumerate", {"n": 5, "method": "branch"},
+         None, {**_RECORD_5, "f": "16"}),
+        (["enumerate", "--n", "5"], "enumerate", {"n": 5, "method": "branch"},
+         {"n": 6, "method": "branch"}, _RECORD_5),
+        (["constants", "--dprime", "--n-max", "6"], "constants", {"n_max": 6},
+         None, {"oops": 1}),
+        (["constants", "--dprime", "--n-max", "6"], "constants", {"n_max": 6},
+         None, [{"n": 4}]),
+    ],
+    ids=["enum-not-a-record", "enum-wrong-ground", "enum-string-count",
+         "enum-other-params", "constants-not-rows", "constants-short-rows"],
+)
+def test_misshapen_cache_entry_is_recomputed(
+    capsys, cache_dir, argv, operation, params, stored_params, payload
+):
+    cache_store(cache_dir, operation, params, payload)
+    if stored_params is not None:
+        entry = cache_dir / f"{cache_key(operation, params)}.json"
+        entry.write_text(json.dumps({**json.loads(entry.read_text()), "params": stored_params}))
+    code, out, err = invoke(capsys, "--cache-dir", str(cache_dir), *argv)
+    assert code == 0 and "corrupt cache entry" in err
+    # the recomputed entry overwrote the bad one and is served from now on
+    assert invoke(capsys, "--cache-dir", str(cache_dir), *argv) == (0, out, "")
+
+    def rows(text):
+        return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in text.splitlines()]
+
+    assert rows(out) == rows(invoke(capsys, "--no-cache", *argv)[1])
+
+
 def test_no_cache_flag(capsys, cache_dir):
     code, out, _ = invoke(
         capsys, "--cache-dir", str(cache_dir), "--no-cache",

@@ -14,6 +14,7 @@ from sumfree.graph import (
     cartesian_product,
     check_isomorphism_map,
     complete,
+    component_masks,
     connected_components,
     cycle,
     degree_stats,
@@ -97,6 +98,39 @@ def test_product_and_components():
     assert are_isomorphic(g, prism())
     comps = connected_components(disjoint_union(cycle(3), relabel(cycle(4), {i: i + 10 for i in range(4)})))
     assert sorted(c.num_vertices for c in comps) == [3, 4]
+
+
+def test_adjacency_must_be_symmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        Graph((0, 1), (2, 0), 0)
+    assert Graph((0, 1), (2, 1), 0) == path(2)
+
+
+@given(random_graphs(), st.integers(min_value=0, max_value=(1 << 10) - 1))
+@settings(max_examples=80)
+def test_component_masks_match_reachability(g, within):
+    # reachability by search over the label-pair edge list
+    adj = {(u, v) for u, v in g.edges() if u != v}
+    adj |= {(v, u) for u, v in adj}
+    for mask in (-1, within):
+        keep = {v for i, v in enumerate(g.labels) if mask >> i & 1}
+
+        def reach(v):
+            seen, todo = {v}, [v]
+            while todo:
+                w = todo.pop()
+                new = {u for u in keep - seen if (w, u) in adj}
+                seen |= new
+                todo.extend(new)
+            return sum(1 << g.labels.index(u) for u in seen)
+
+        want = sorted({reach(v) for v in keep}, key=lambda m: m & -m)
+        got = component_masks(g, mask) if mask != -1 else component_masks(g)
+        assert got == want
+    assert [c.labels for c in connected_components(g)] == [
+        tuple(v for i, v in enumerate(g.labels) if m >> i & 1)
+        for m in component_masks(g)
+    ]
 
 
 @given(

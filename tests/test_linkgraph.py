@@ -8,7 +8,7 @@ import pytest
 
 from sumfree.graph import is_triangle_free
 from sumfree.group import AbelianGroup, GroupSubset
-from sumfree.intset import mask_is_sum_free
+from sumfree.intset import mask_is_sum_free, unordered_schur
 from sumfree.linkgraph import (
     link_family,
     link_graph_group,
@@ -50,7 +50,56 @@ def test_loops_cover_sums_and_shifts():
         loop_targets = {a + b for a in s for b in s} | {a + m for a in s}
         for v in g.labels:
             if v in loop_targets:
-                assert g.has_loop(v), (n, m, s, v)
+                assert g.loops_mask >> g.labels.index(v) & 1, (n, m, s, v)
+
+
+def test_link_graph_ints_matches_definition():
+    # S may overlap B and need not be sum-free
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        s = rng.sample(range(1, n + 1), k=rng.randint(0, min(4, n)))
+        b = [v for v in range(1, n + 1) if rng.random() < 0.6]
+        g = link_graph_ints(s, b)
+        assert g.labels == tuple(b)
+        for i, x in enumerate(b):
+            for j, y in enumerate(b):
+                edge = i != j and any(unordered_schur(x, y, z) for z in s)
+                assert bool(g.nbr[i] >> j & 1) == edge, (s, x, y)
+            loop = (
+                2 * x in s
+                or any(x == z + w for z in s for w in s)
+                or any(x == z - w > 0 for z in s for w in s)
+            )
+            assert bool(g.loops_mask >> i & 1) == loop, (s, x)
+
+
+@pytest.mark.parametrize("desc", ["Z2xZ4", "Z9"])
+def test_link_graph_group_matches_definition(desc):
+    grp = AbelianGroup.parse(desc)
+    els = grp.elements()
+    add = grp.add
+
+    def schur(x, y, z):
+        return add(x, y) == z or add(x, z) == y or add(y, z) == x
+
+    rng = random.Random(31)
+    for _ in range(100):
+        s = rng.sample(els, k=rng.randint(0, 3))
+        b = rng.sample(els, k=rng.randint(0, len(els)))
+        g = link_graph_group(grp, GroupSubset.of(grp, s), GroupSubset.of(grp, b))
+        verts = [grp.from_index(v) for v in g.labels]
+        assert sorted(verts) == sorted(b)
+        for i, x in enumerate(verts):
+            for j, y in enumerate(verts):
+                edge = i != j and any(schur(x, y, z) for z in s)
+                assert bool(g.nbr[i] >> j & 1) == edge, (desc, s, x, y)
+            loop = (
+                add(x, x) in s
+                or any(x == add(z, w) for z in s for w in s)
+                or any(x == grp.sub(z, w) for z in s for w in s)
+            )
+            assert bool(g.loops_mask >> i & 1) == loop, (desc, s, x)
 
 
 def test_spec_objects_validate():

@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree.graph import Graph, cycle, disjoint_union, matching, path, prism, relabel
+from sumfree.graph import (
+    Graph,
+    cycle,
+    disjoint_union,
+    induced_subgraph,
+    matching,
+    path,
+    prism,
+    relabel,
+)
 from sumfree.mis import (
     EnumerationLimitError,
     bound_certificates,
     count_mis,
     enumerate_mis,
-    is_maximal_independent,
     mis_cycle,
-    strip_loops,
 )
 
 
@@ -55,10 +62,8 @@ def brute_force_mis(g: Graph) -> list[tuple[int, ...]]:
 
 def test_strip_loops():
     p3_loop = Graph.build(range(3), [(0, 1), (1, 2)], [0])
-    assert strip_loops(p3_loop).num_vertices == 2
-    assert strip_loops(path(4)) == path(4)
+    assert enumerate_mis(p3_loop) == [(1,), (2,)]  # the loop vertex 0 is left out
     all_loops = Graph.build(range(3), [(0, 1)], [0, 1, 2])
-    assert strip_loops(all_loops).num_vertices == 0
     assert count_mis(all_loops) == 1  # the empty set is the unique MIS
     assert enumerate_mis(all_loops) == [()]
 
@@ -81,14 +86,6 @@ def test_enumeration():
 def test_enumeration_matches_brute_force_on_structured():
     for g in (path(5), cycle(6), matching(3), prism()):
         assert enumerate_mis(g) == brute_force_mis(g)
-
-
-def test_membership_helper():
-    g = path(3)
-    assert is_maximal_independent(g, (0, 2))
-    assert is_maximal_independent(g, (1,))
-    assert not is_maximal_independent(g, (0,))
-    assert not is_maximal_independent(g, (0, 1))
 
 
 def test_mis_cycle():
@@ -156,7 +153,8 @@ def test_count_matches_enumeration_and_brute_force(g):
     sets = enumerate_mis(g)
     assert count_mis(g) == len(sets)
     assert sets == brute_force_mis(g)
-    assert count_mis(g) == count_mis(strip_loops(g))
+    loop_free = [v for i, v in enumerate(g.labels) if not g.loops_mask >> i & 1]
+    assert count_mis(g) == count_mis(induced_subgraph(g, loop_free))
 
 
 @given(random_graphs())
