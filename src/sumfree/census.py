@@ -2,11 +2,11 @@
 
 Two independent routes are provided and cross-checked:
 
-* oracle: a vectorised table over all 2^n subset masks.  Sum-freeness
-  satisfies a one-step recurrence on the smallest element x of a mask m
-  (m is sum-free iff m - x is, x + x is not in m, and no member plus x
-  lands in m), so one strided slice per x, for x = n down to 1, fills the
-  table; maximality is then one table lookup per absent element.
+* oracle: a table over all 2^n subset masks, in numpy, which only this
+  route imports.  Sum-freeness satisfies a one-step recurrence on the least
+  x of a mask m (m is sum-free iff m - x is, x + x is not in m, and no
+  member plus x lands in m), so one strided slice per x, x = n down to 1,
+  fills the table; maximality is then one table lookup per absent element.
 * branch: one prefix-tree walk over the sum-free sets, counting f and f_max
   in a single pass with each node's blocked mask (sums, differences and
   halves) kept up to date, so a childless node is maximal iff one AND comes
@@ -24,14 +24,11 @@ small sumset.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .intset import (
     GroundSet,
@@ -42,6 +39,9 @@ from .intset import (
 )
 from .linkgraph import link_family, link_graph_ints, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_MAX_N = 26
 
@@ -76,6 +76,7 @@ class EnumRecord:
 
 def sum_free_mask_table(n: int) -> np.ndarray:
     """Boolean table over all 2^n masks: entry m <=> mask m is sum-free."""
+    import numpy as np
     if not 1 <= n <= ORACLE_MAX_N:
         raise ValueError(f"oracle sweep supports 1 <= n <= {ORACLE_MAX_N}")
     size = 1 << n
@@ -96,6 +97,7 @@ def oracle_counts(n: int) -> tuple[int, int]:
     """(f(n), f_max(n)) from one subset table.  Maximality is read off the
     table by the definition, no single added element leaves the set
     sum-free, so the route stays independent of the branch walk."""
+    import numpy as np
     dp = sum_free_mask_table(n)
     masks = np.flatnonzero(dp)
     maximal = np.ones(masks.size, dtype=bool)
@@ -210,6 +212,7 @@ def branch_counts(n: int, workers: int = 1) -> tuple[int, int]:
     """(f(n), f_max(n)) by one prefix-tree walk, over `workers` processes."""
     if workers <= 1:
         return _subtree(n, ((1 << n) - 1, 0, 0, 0))
+    from concurrent.futures import ProcessPoolExecutor
     f, f_max, tasks = _split(n, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for sub_f, sub_max in pool.map(

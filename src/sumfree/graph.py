@@ -32,8 +32,11 @@ class Graph:
                 raise ValueError("adjacency mask out of range")
             if m >> i & 1:
                 raise ValueError("self-adjacency must be recorded via loops")
-            if any(not self.nbr[j] >> i & 1 for j in _bits(m)):
-                raise ValueError("adjacency is not symmetric")
+            while m:
+                low = m & -m
+                if not self.nbr[low.bit_length() - 1] >> i & 1:
+                    raise ValueError("adjacency is not symmetric")
+                m ^= low
 
     @classmethod
     def build(

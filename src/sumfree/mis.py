@@ -89,9 +89,8 @@ def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
 def _pivot(cand: int, excl: int, allowed: list[int]) -> int:
     """Vertex of cand | excl whose closed non-neighbourhood in cand is
     smallest; deterministic for reproducible enumeration order."""
-    pool = cand | excl
     pivot, best = -1, -1
-    mm = pool
+    mm = cand | excl
     while mm:
         low = mm & -mm
         u = low.bit_length() - 1
@@ -173,10 +172,17 @@ class BoundCertificates:
 
 
 def _leq_power(count: int, base: int, expo: Fraction) -> bool:
-    """count <= base**expo, decided exactly over the integers."""
+    """count <= base**expo (integer base >= 2), exactly: for expo = num/den,
+    A <= B with A = den log2(count), B = num log2(base).  Float factors are
+    within relative 2^-52 (log2 within an ulp), each product rounds once
+    more, so the float B - A is off by under 2^-49 (A + |B|).  Floats decide
+    past 2^-30 (A + |B| + 1); nearer, as at matching(k)'s 2^k, integers do."""
     if count <= 0:
         return True
     num, den = expo.numerator, expo.denominator
+    lhs, rhs = den * math.log2(count), num * math.log2(base)
+    if abs(rhs - lhs) > 2**-30 * (lhs + abs(rhs) + 1):
+        return lhs < rhs
     if num < 0:
         return count**den * base ** (-num) <= 1
     return count**den <= base**num

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumfree
 from sumfree.cache import cache_key, cache_lookup, cache_store
 from sumfree.cli import run
 from sumfree.graph import from_text
@@ -282,3 +287,29 @@ def test_global_flags_accepted_after_subcommand(capsys):
     assert json.loads(a)["instances_checked"] == json.loads(b)["instances_checked"]
     code, out, _ = invoke(capsys, "enumerate", "--n", "10", "--no-cache", "--output", "table")
     assert code == 0 and "f_max=23" in out
+
+
+def fresh_python(*args: str) -> str:
+    src = str(Path(sumfree.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_start_up_loads_only_what_the_route_needs():
+    loaded = fresh_python(
+        "-c",
+        "import sys, sumfree.cli; print(sorted(m for m in ('numpy', "
+        "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))",
+    )
+    assert loaded.strip() == "[]"
+    # the routes that import them on first use still give the same counts
+    for argv, counts in (
+        (["enumerate", "--n", "12", "--oracle"], (369, 37)),
+        (["--workers", "2", "enumerate", "--n", "16"], (1954, 118)),
+    ):
+        record = json.loads(fresh_python("-m", "sumfree.cli", "--no-cache", *argv))
+        assert (record["f"], record["f_max"]) == counts

@@ -106,6 +106,21 @@ def test_adjacency_must_be_symmetric():
     assert Graph((0, 1), (2, 1), 0) == path(2)
 
 
+@given(random_graphs(), st.data())
+@settings(max_examples=150)
+def test_symmetry_check_catches_one_sided_bits(g, data):
+    assert Graph(g.labels, g.nbr, g.loops_mask) == g
+    n = g.num_vertices
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if not pairs:
+        return
+    i, j = data.draw(st.sampled_from(pairs))
+    nbr = list(g.nbr)
+    nbr[i] ^= 1 << j  # add or drop the arc i -> j, leave j -> i as it was
+    with pytest.raises(ValueError, match="adjacency is not symmetric"):
+        Graph(g.labels, tuple(nbr), g.loops_mask)
+
+
 @given(random_graphs(), st.integers(min_value=0, max_value=(1 << 10) - 1))
 @settings(max_examples=80)
 def test_component_masks_match_reachability(g, within):

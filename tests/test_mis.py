@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumfree import mis
+from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
     cycle,
@@ -18,6 +22,7 @@ from sumfree.graph import (
 )
 from sumfree.mis import (
     EnumerationLimitError,
+    _leq_power,
     bound_certificates,
     count_mis,
     enumerate_mis,
@@ -169,3 +174,93 @@ def test_adding_loops_never_increases_count(g):
 def test_all_bounds_hold_on_random_graphs(g):
     certs = bound_certificates(g)
     assert certs.all_hold()
+
+
+def exact_leq_power(count: int, base: int, expo: Fraction) -> bool:
+    """count <= base**expo over the integers: count**den against base**num,
+    or count**den * base**-num against 1 for a negative numerator."""
+    if count <= 0:
+        return True
+    num, den = expo.numerator, expo.denominator
+    if num < 0:
+        return count**den * base**-num <= 1
+    return count**den <= base**num
+
+
+@st.composite
+def power_claims(draw):
+    base = draw(st.sampled_from([2, 3]))
+    den = draw(st.integers(min_value=1, max_value=12))
+    num = draw(st.integers(min_value=-30 * den, max_value=60 * den))
+    near = base ** max(num // den, 0)  # counts on both sides of the bound
+    count = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=2**100),
+            st.integers(min_value=max(near - 3, 0), max_value=near + 3),
+        )
+    )
+    return count, base, Fraction(num, den)
+
+
+@given(power_claims())
+@settings(max_examples=400)
+def test_leq_power_matches_exact_integers(claim):
+    count, base, expo = claim
+    assert _leq_power(count, base, expo) == exact_leq_power(count, base, expo)
+
+
+@pytest.mark.parametrize("base", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 5, 17, 18, 40, 80])
+def test_leq_power_at_exact_powers(base, k):
+    assert _leq_power(base**k, base, Fraction(k))
+    assert not _leq_power(base**k + 1, base, Fraction(k))
+    # 3^40 - 1 and 3^40 have the same float log2: only integers tell them apart
+    assert _leq_power(base**k - 1, base, Fraction(k))
+    assert not _leq_power(base**k, base, Fraction(k) - Fraction(1, 125000))
+
+
+@pytest.mark.parametrize("k", [16, 17, 18, 19])
+def test_leq_power_one_off_a_power_of_two(k):
+    step = Fraction(1, 125000)  # the largest denominator k/(100 D^2) reaches
+    for count in (2**k - 1, 2**k + 1):
+        for expo in (k - step, k + step):
+            assert _leq_power(count, 2, expo) == exact_leq_power(count, 2, expo)
+    # 2^{1/125000} - 1 is about 5.5e-6 = 1/180000, so both verdicts occur
+    assert _leq_power(2**k + 1, 2, k + step) == (k >= 18)
+    assert _leq_power(2**k - 1, 2, k - step) == (k <= 17)
+
+
+def test_leq_power_small_counts_and_negative_exponents():
+    for base in (2, 3):
+        assert _leq_power(0, base, Fraction(-5, 3))
+        assert _leq_power(1, base, Fraction(0))
+        assert not _leq_power(1, base, Fraction(-1, 125000))
+        assert _leq_power(1, base, Fraction(1, 125000))
+        assert not _leq_power(2, base, Fraction(-7, 2))
+
+
+@pytest.mark.parametrize("k", [1, 6, 12, 30])
+def test_matching_meets_the_half_bound_exactly(k):
+    g = matching(k)
+    assert count_mis(g) == 2**k  # equality: the float gap is 0
+    half = {c.name: c for c in bound_certificates(g).checks}["triangle-free-half"]
+    assert half.applicable and half.holds and half.bound_log2 == k
+    assert not _leq_power(2**k + 1, 2, Fraction(2 * k, 2))
+
+
+def test_bound_verdicts_equal_integer_comparisons(monkeypatch):
+    calls = []
+
+    def recorded(count, base, expo):
+        verdict = _leq_power(count, base, expo)
+        calls.append((count, base, expo, verdict))
+        return verdict
+
+    monkeypatch.setattr(mis, "_leq_power", recorded)
+    for _, g, p3_limit in bounds_corpus(0):
+        bound_certificates(g, p3_limit)
+    assert len(calls) > 1000
+    assert max(expo.denominator for _, _, expo, _ in calls) == 125000
+    for count, base, expo, verdict in calls:
+        assert verdict == exact_leq_power(count, base, expo), (count, base, expo)
