@@ -95,7 +95,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="f(n) and f_max(n)", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="sweep all 2^n subsets")
+    p.add_argument("--oracle", action="store_true",
+                   help=f"build the sorted array of all sum-free subsets of [n] "
+                        f"(n <= {census.ORACLE_MAX_N})")
 
     p = sub.add_parser("mis", help="count maximal independent sets", parents=[common])
     src = p.add_mutually_exclusive_group(required=True)
@@ -168,6 +170,8 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
         if cfg.use_cache else None
     )
     if payload is None:
+        if args.oracle:
+            import numpy  # noqa: F401  so elapsed_ms leaves out a first import
         started = time.perf_counter()
         if args.oracle:
             f, fmax = census.oracle_counts(n)

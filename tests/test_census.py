@@ -1,4 +1,4 @@
-"""Counts of sum-free and maximal sum-free subsets of [n]: the all-subsets
+"""Counts of sum-free and maximal sum-free subsets of [n]: the sum-free-mask
 oracle, the branch route, and the refined censuses built on link graphs."""
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from sumfree.intset import (
 )
 from sumfree.mis import EnumerationLimitError
 
-# frozen by running the all-subsets oracle
+# frozen by running the oracle
 F_VALUES = [2, 3, 6, 9, 16, 24, 42, 61, 108, 151, 253, 369, 607, 847]
 F_MAX_VALUES = [1, 2, 2, 4, 5, 6, 8, 13, 17, 23, 29, 37, 51, 66]
 
@@ -53,19 +53,24 @@ def test_oracle_frozen_values():
 def test_oracle_table_matches_definition():
     for n in range(1, 15):
         table = sum_free_mask_table(n)
-        assert table.tolist() == [mask_is_sum_free(m) for m in range(1 << n)], n
+        assert table.dtype == "int64", n
+        assert table.tolist() == [m for m in range(1 << n) if mask_is_sum_free(m)], n
         # maximality by the definition, one mask at a time
         f_max = sum(
             all(m >> x & 1 or not mask_is_sum_free(m | 1 << x) for x in range(n))
-            for m in range(1 << n)
-            if table[m]
+            for m in table.tolist()
         )
-        assert oracle_counts(n) == (table.sum(), f_max)
+        assert oracle_counts(n) == (table.size, f_max)
 
 
 def test_oracle_limit():
     with pytest.raises(ValueError):
-        f_oracle(27)
+        f_oracle(37)
+
+
+def test_oracle_is_a_second_route_for_the_walk_at_32():
+    # the walk's f(32) and f_max(32), as pinned by the walk workload
+    assert oracle_counts(32) == (849877, 8547)
 
 
 def test_branch_matches_oracle():

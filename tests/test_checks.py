@@ -9,6 +9,7 @@ import pytest
 from sumfree.checks import (
     ALL_CHECKS,
     _random_sum_free,
+    _two_step_terms,
     check_cycle_recurrence,
     check_even_link_constants,
     check_even_link_decomposition,
@@ -18,10 +19,17 @@ from sumfree.checks import (
     check_shift_isomorphism,
     check_single_even_sandwich,
     check_two_step_mis,
+    default_group_splits,
     default_shift_grid,
     run_check,
     shift_iso_instance,
     shift_iso_preconditions,
+)
+from sumfree.group import (
+    AbelianGroup,
+    enumerate_maximal_sum_free_group,
+    enumerate_sum_free_group,
+    max_sum_free,
 )
 
 
@@ -119,6 +127,16 @@ def test_cycle_recurrence():
 def test_group_two_step_bound():
     report = check_group_two_step_bound(["Z2xZ2", "Z5", "Z7"])
     assert report.passed
+
+
+def test_group_two_step_terms_match_the_three_searches():
+    for desc in default_group_splits():
+        grp = AbelianGroup.parse(desc)
+        b = max_sum_free(grp).members
+        c = frozenset(g for g in grp.elements() if g not in b and g != grp.zero)
+        seeds = sum(s.members <= c for s in enumerate_sum_free_group(grp))
+        fmax = len(enumerate_maximal_sum_free_group(grp))
+        assert _two_step_terms(grp) == (len(b), seeds, fmax), desc
 
 
 def test_failure_reports_carry_witnesses():
