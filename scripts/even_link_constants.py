@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from sumfree.census import dprime_sum
-
-LIMITS = {0: 3.0, 1: 3 * 2 ** (-1 / 4), 2: 2 ** (3 / 2), 3: 2 ** (5 / 4)}
+from sumfree.census import EVEN_LINK_LIMITS, dprime_sum
 
 
 def main() -> int:
@@ -31,7 +29,7 @@ def main() -> int:
     for n in range(8, args.n_max + 1):
         sums = dprime_sum(n)
         ratio = sums.ratio()
-        limit = LIMITS[n % 4]
+        limit = EVEN_LINK_LIMITS[n % 4]
         dev = abs(ratio - limit) * 2 ** (n / 12)
         print(
             f"{n:>4} {n % 4:>4} {sums.total:>10} {sums.restricted:>10}"

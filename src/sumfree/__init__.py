@@ -7,10 +7,8 @@ from .intset import (
     IntSubset,
     addable_elements,
     is_maximal_sum_free,
-    is_schur_triple,
     is_sum_free,
     schur_triple_count,
-    sumset,
     unordered_schur,
 )
 
@@ -19,10 +17,8 @@ __all__ = [
     "IntSubset",
     "addable_elements",
     "is_maximal_sum_free",
-    "is_schur_triple",
     "is_sum_free",
     "schur_triple_count",
-    "sumset",
     "unordered_schur",
 ]
 

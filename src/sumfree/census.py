@@ -14,12 +14,11 @@ Two independent routes are provided and cross-checked:
   out empty.  It scales past the oracle's n = 36, and the CLI splits it into a
   breadth-first frontier of a few hundred subtrees for a process pool.
 
-On top of the enumeration sit the refined counts used by the upper-half
-analysis (link-graph maximal-independent-set counts per choice of minimum m
-and lower fringe S), the census of maximal sets with exactly one even
-member together with its inclusion-exclusion sandwich, the even-link sums
-whose 2^{n/4} ratios stabilise by residue class, and a census of sets with
-small sumset.
+On top of the enumeration sit the two-step enumeration (a sum-free seed in
+one part joined with each maximal independent set of its link graph on the
+other), the census of maximal sets with exactly one even member together
+with its inclusion-exclusion sandwich, the even-link sums whose 2^{n/4}
+ratios stabilise by residue class, and a census of sets with small sumset.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .intset import (
     mask_blocked,
     mask_is_sum_free,
 )
-from .linkgraph import link_family, link_graph_ints, link_pair_even, link_single_even
+from .linkgraph import link_graph_ints, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 if TYPE_CHECKING:
@@ -300,59 +299,6 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 
 
 # ---------------------------------------------------------------------------
-# refined counts for the upper-half family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RefinedCounts:
-    """Counts attached to one (n, m, S) choice: the number of maximal
-    sum-free sets with minimum m and lower fringe S, the MIS count of the
-    associated link graph, and, when 4 divides n, its exact ratio to 2^{n/4}."""
-
-    n: int
-    m: int
-    s: tuple[int, ...]
-    msf: int
-    mis_link: int
-    ratio_c: Optional[Fraction]  # exact when 4 | n
-
-
-def refined_counts(n: int, m: int, s_members: Iterable[int]) -> RefinedCounts:
-    s = tuple(sorted(s_members))
-    s_mask = 0
-    for e in s:
-        s_mask |= 1 << (e - 1)
-    seed_mask = s_mask | (1 << (m - 1))
-    if not mask_is_sum_free(seed_mask):
-        raise ValueError("S + {m} must be sum-free")
-    if 2 * m > n:
-        raise ValueError("m must lie in [1, n/2]")
-    if any(2 * x > n for x in s):
-        raise ValueError("S must lie inside [n/2]")
-    if 2 * m in s:
-        raise ValueError("2m must not lie in S")
-    link = link_family(n, m, s)
-    mis_link = count_mis(link)
-    universe = (1 << n) - 1
-    msf = 0
-    for ind in enumerate_mis(link):
-        mask = seed_mask
-        for v in ind:
-            mask |= 1 << (v - 1)
-        # require minimum exactly m and leaf maximality
-        if (mask & -mask).bit_length() != m:
-            continue
-        if not universe & ~mask & ~mask_blocked(mask):
-            msf += 1
-    if n % 4 == 0:
-        ratio: Optional[Fraction] = Fraction(mis_link, 1 << (n // 4))
-    else:
-        ratio = None
-    return RefinedCounts(n, m, s, msf, mis_link, ratio)
-
-
-# ---------------------------------------------------------------------------
 # maximal sets with exactly one even member
 # ---------------------------------------------------------------------------
 
@@ -394,6 +340,10 @@ def even_link_term(m: int) -> int:
     if (m // 2) % 2 == 0:
         return 1 << (m // 4)
     return 1 << ((m - 2) // 4)
+
+
+# the residue-class limits of EvenLinkSums.ratio(): n mod 4 -> constant
+EVEN_LINK_LIMITS = {0: 3.0, 1: 3 * 2 ** (-1 / 4), 2: 2 ** (3 / 2), 3: 2 ** (5 / 4)}
 
 
 @dataclass(frozen=True)

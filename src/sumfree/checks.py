@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .census import (
+    EVEN_LINK_LIMITS,
     dprime_sum,
     enumerate_maximal_sum_free,
     even_link_term,
@@ -309,7 +310,6 @@ def check_even_link_constants(n_max: int = 32) -> CheckReport:
     started = time.perf_counter()
     failures: list[str] = []
     instances = 0
-    limits = {0: 3.0, 1: 3 * 2 ** (-1 / 4), 2: 2 ** (3 / 2), 3: 2 ** (5 / 4)}
     fitted: dict[int, float] = {}
     restricted_ratios: list[tuple[int, float]] = []
     for n in range(8, n_max + 1):
@@ -326,13 +326,14 @@ def check_even_link_constants(n_max: int = 32) -> CheckReport:
             restricted_ratios.append((n, sums.restricted / 2 ** (n / 4)))
         if sums.total < 2 ** (n / 4):
             failures.append(f"n={n}: ratio below 1")
-        dev = abs(sums.ratio() - limits[n % 4])
+        dev = abs(sums.ratio() - EVEN_LINK_LIMITS[n % 4])
         fitted[n % 4] = max(fitted.get(n % 4, 0.0), dev * 2 ** (n / 12))
     for (n1, r1), (n2, r2) in zip(restricted_ratios, restricted_ratios[1:]):
         if not (r1 <= r2 <= 3.0):
             failures.append(f"restricted ratio not climbing: {n1}:{r1} {n2}:{r2}")
     notes = tuple(
-        f"residue {i}: limit {limits[i]:.4f}, fitted err c = {fitted.get(i, 0.0):.3f}"
+        f"residue {i}: limit {EVEN_LINK_LIMITS[i]:.4f},"
+        f" fitted err c = {fitted.get(i, 0.0):.3f}"
         for i in sorted(fitted)
     )
     return _report("even-link-constants", started, instances, failures, notes)

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,21 +43,6 @@ _ROW_TYPES = {"n": int, "residue_mod_4": int, "total": str, "restricted": str,
 
 def _types(row) -> dict:
     return {k: type(v) for k, v in row.items()} if isinstance(row, dict) else {}
-
-
-@dataclass
-class Config:
-    workers: int = 1
-    cache_dir: Path = None  # type: ignore[assignment]
-    seed: int = 0
-    output: str = "json"
-    use_cache: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cache_dir is None:
-            self.cache_dir = default_cache_dir()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 _GLOBAL_DEFAULTS = {
@@ -157,7 +141,7 @@ def _family_graph(spec: str) -> Graph:
     raise ValueError(f"unknown graph family {spec!r}")
 
 
-def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= ENUMERATE_MAX_N:
         print(f"n must lie in [1, {ENUMERATE_MAX_N}]", file=sys.stderr)
@@ -165,9 +149,9 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
     method = "oracle" if args.oracle else "branch"
     params = {"n": n, "method": method}
     payload = (
-        cache_lookup(cfg.cache_dir, "enumerate", params, valid=lambda p: (
+        cache_lookup(args.cache_dir, "enumerate", params, valid=lambda p: (
             _types(p) == _RECORD_TYPES and (p["ground"], p["method"]) == (str(n), method)))
-        if cfg.use_cache else None
+        if not args.no_cache else None
     )
     if payload is None:
         if args.oracle:
@@ -176,24 +160,24 @@ def _cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
         if args.oracle:
             f, fmax = census.oracle_counts(n)
         else:
-            f, fmax = census.branch_counts(n, workers=cfg.workers)
+            f, fmax = census.branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - started) * 1000.0
         payload = {"ground": str(n), "f": f, "f_max": fmax, "method": method,
                    "elapsed_ms": round(elapsed, 1)}
-        if cfg.use_cache:
-            cache_store(cfg.cache_dir, "enumerate", params, payload)
+        if not args.no_cache:
+            cache_store(args.cache_dir, "enumerate", params, payload)
     record = census.EnumRecord(**payload)
-    if cfg.output == "csv":
+    if args.output == "csv":
         _emit(census.EnumRecord.CSV_HEADER)
         _emit(record.csv_row())
-    elif cfg.output == "table":
+    elif args.output == "table":
         _emit(f"n={n}  f={record.f}  f_max={record.f_max}  [{record.method}]")
     else:
         _emit(json.dumps(payload, sort_keys=True))
     return 0
 
 
-def _cmd_mis(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_mis(args: argparse.Namespace) -> int:
     if args.graph:
         g = from_text(Path(args.graph).read_text())
     else:
@@ -208,7 +192,7 @@ def _cmd_mis(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_link(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_link(args: argparse.Namespace) -> int:
     if args.even is not None:
         if args.even2 is not None:
             g = link_pair_even(args.n, args.even, args.even2)
@@ -224,7 +208,7 @@ def _cmd_link(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_construct(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     fam = args.family
     if fam in ("ce-odd", "interval", "zn-prism") and args.n is None:
         print(f"{fam} needs --n", file=sys.stderr)
@@ -270,7 +254,7 @@ def _cmd_construct(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_group(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_group(args: argparse.Namespace) -> int:
     grp = AbelianGroup.parse(args.desc)
     if args.op == "mu":
         value = mu(grp)
@@ -283,24 +267,24 @@ def _cmd_group(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         names = list(checks.ALL_CHECKS)
-        if cfg.workers > 1:
+        if args.workers > 1:
             # checks are independent jobs; reports aggregate in registry
             # order so worker count never changes the output
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                reports = list(pool.map(checks.run_check, names, [cfg.seed] * len(names)))
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                reports = list(pool.map(checks.run_check, names, [args.seed] * len(names)))
         else:
-            reports = checks.run_all(seed=cfg.seed)
+            reports = checks.run_all(seed=args.seed)
     else:
-        reports = [checks.run_check(args.check, seed=cfg.seed)]
+        reports = [checks.run_check(args.check, seed=args.seed)]
     ok = True
     for r in reports:
         ok &= r.passed
-        if cfg.output == "table":
+        if args.output == "table":
             status = "PASS" if r.passed else "FAIL"
             _emit(
                 f"{r.name:<26} {status}  instances={r.instances_checked}"
@@ -322,14 +306,14 @@ def _cmd_verify(cfg: Config, args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_constants(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> int:
     params = {"n_max": args.n_max}
     payload = (
-        cache_lookup(cfg.cache_dir, "constants", params, valid=lambda p: (
+        cache_lookup(args.cache_dir, "constants", params, valid=lambda p: (
             isinstance(p, list)
             and [r["n"] if _types(r) == _ROW_TYPES else None for r in p]
             == list(range(4, args.n_max + 1))))
-        if cfg.use_cache else None
+        if not args.no_cache else None
     )
     if payload is None:
         rows = []
@@ -344,9 +328,9 @@ def _cmd_constants(cfg: Config, args: argparse.Namespace) -> int:
                 "ratio": round(sums.ratio(), 6),
             })
         payload = rows
-        if cfg.use_cache:
-            cache_store(cfg.cache_dir, "constants", params, payload)
-    if cfg.output == "csv":
+        if not args.no_cache:
+            cache_store(args.cache_dir, "constants", params, payload)
+    if args.output == "csv":
         _emit("n,residue_mod_4,total,restricted,geometric_closed_form,ratio")
         for row in payload:
             _emit(
@@ -359,7 +343,7 @@ def _cmd_constants(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sumset_census(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_sumset_census(args: argparse.Namespace) -> int:
     result = census.small_sumset_count(args.d, args.s, args.r, delta=args.delta)
     _emit(json.dumps({
         "d": result.d,
@@ -393,15 +377,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     for key, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, default)
+    if args.workers < 1:
+        print("error: workers must be >= 1", file=sys.stderr)
+        return 2
+    if args.cache_dir is None:
+        args.cache_dir = default_cache_dir()
     try:
-        cfg = Config(
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            seed=args.seed,
-            output=args.output,
-            use_cache=not args.no_cache,
-        )
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, FileNotFoundError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

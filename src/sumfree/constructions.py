@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from typing import Union
 
 from .graph import Graph, are_isomorphic, connected_components, prism
-from .group import AbelianGroup, GroupSubset, coset_partition, is_sum_free_group
+from .group import (
+    AbelianGroup,
+    GroupElem,
+    GroupSubset,
+    coset_partition,
+    is_sum_free_group,
+)
 from .intset import IntSubset, is_sum_free, mask_is_sum_free
 from .linkgraph import link_graph_group
 from .mis import count_mis, enumerate_mis
@@ -164,12 +170,6 @@ class PrismCensus:
     mis: int
 
 
-def zn_prism_graph(n: int) -> Graph:
-    """The link graph of {k, n-2k} on the middle window [3k+1, 6k] of Z_n,
-    where n = 9k + i with 0 <= i <= 8."""
-    return zn_prism_census(n).graph
-
-
 def zn_prism_census(n: int) -> PrismCensus:
     k = n // 9
     if k < 1:
@@ -193,6 +193,17 @@ def zn_prism_census(n: int) -> PrismCensus:
     )
 
 
+def _link_family(group: AbelianGroup, x: GroupElem, window: GroupSubset) -> Family:
+    """{x} joined with each maximal independent set of the link graph of x
+    on `window`."""
+    link = link_graph_group(group, GroupSubset.of(group, {x}), window)
+    members = [
+        GroupSubset.of(group, {x} | {group.from_index(i) for i in ind})
+        for ind in enumerate_mis(link)
+    ]
+    return Family(group.describe(), tuple(members), window, count_mis(link))
+
+
 def index3_family(group: AbelianGroup) -> Family:
     """Matching-with-loops construction on an index-3 coset; requires odd
     order divisible by 3."""
@@ -200,17 +211,7 @@ def index3_family(group: AbelianGroup) -> Family:
     if n % 3 or n % 2 == 0:
         raise FamilyError("need odd order divisible by 3")
     cosets = coset_partition(group, 3)
-    x = min(cosets[2].members)
-    link = link_graph_group(group, GroupSubset.of(group, {x}), cosets[1])
-    members = [
-        GroupSubset.of(
-            group, {x} | {group.from_index(i) for i in ind}
-        )
-        for ind in enumerate_mis(link)
-    ]
-    return Family(
-        group.describe(), tuple(members), cosets[1], count_mis(link)
-    )
+    return _link_family(group, min(cosets[2].members), cosets[1])
 
 
 def exponent7_family(group: AbelianGroup) -> Family:
@@ -219,13 +220,5 @@ def exponent7_family(group: AbelianGroup) -> Family:
     if group.exponent != 7:
         raise FamilyError("need exponent 7")
     cosets = coset_partition(group, 7)
-    x = min(cosets[1].members)
-    b = GroupSubset.of(group, cosets[2].members | cosets[3].members)
-    link = link_graph_group(group, GroupSubset.of(group, {x}), b)
-    members = [
-        GroupSubset.of(
-            group, {x} | {group.from_index(i) for i in ind}
-        )
-        for ind in enumerate_mis(link)
-    ]
-    return Family(group.describe(), tuple(members), b, count_mis(link))
+    window = GroupSubset.of(group, cosets[2].members | cosets[3].members)
+    return _link_family(group, min(cosets[1].members), window)

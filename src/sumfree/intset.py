@@ -122,17 +122,6 @@ class IntSubset:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def with_element(self, e: int) -> "IntSubset":
-        return IntSubset(self.ground, self.mask | (1 << (e - 1)))
-
-    def complement(self) -> "IntSubset":
-        return IntSubset(self.ground, self.ground.universe_mask & ~self.mask)
-
-
-def is_schur_triple(x: int, y: int, z: int) -> bool:
-    """Ordered test: x + y = z.  Repeated elements are allowed (1+1=2)."""
-    return x + y == z
-
 
 def unordered_schur(a: int, b: int, c: int) -> bool:
     """Whether {a, b, c} forms a Schur triple under some ordering."""
@@ -164,8 +153,3 @@ def schur_triple_count(s: IntSubset) -> int:
             if x + y in s:
                 count += 1
     return count
-
-
-def sumset(a: IntSubset, b: IntSubset) -> frozenset[int]:
-    """A + B = {a + b}; not truncated to the ground set."""
-    return frozenset(x + y for x in a for y in b)

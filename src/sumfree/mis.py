@@ -79,11 +79,10 @@ def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
         return [low | s for s in found]
 
     listing = _component_mis(g, [0], [], extend)
-    sets: list[tuple[int, ...]] = [()]
+    sets = [0]
     for comp in comps:
-        comp_sets = [tuple(g.labels[i] for i in _bits(m)) for m in listing(comp, 0)]
-        sets = [s + c for s in sets for c in comp_sets]
-    return sorted(tuple(sorted(s)) for s in sets)
+        sets = [s | c for s in sets for c in listing(comp, 0)]
+    return sorted(tuple(sorted(g.labels[i] for i in _bits(m))) for m in sets)
 
 
 def _pivot(cand: int, excl: int, allowed: list[int]) -> int:

@@ -1,5 +1,5 @@
 """Counts of sum-free and maximal sum-free subsets of [n]: the sum-free-mask
-oracle, the branch route, and the refined censuses built on link graphs."""
+oracle, the branch route, and the censuses built on link graphs."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from sumfree.census import (
     f_max_oracle,
     f_oracle,
     oracle_counts,
-    refined_counts,
     single_even_census,
     small_sumset_count,
     sum_free_mask_table,
@@ -211,42 +210,12 @@ def test_two_step_preconditions():
         two_step_enumerate(IntSubset.of(8, [5]), IntSubset.of(8, [1, 2]), 8)
 
 
-def test_refined_counts_matching_case():
-    rc = refined_counts(16, 4, [])
-    assert rc.mis_link == 16
-    assert rc.msf == 5
-    assert rc.ratio_c == Fraction(1, 1)
-    assert rc.msf <= rc.mis_link
-
-
-def test_refined_counts_preconditions():
-    with pytest.raises(ValueError):
-        refined_counts(16, 9, [])  # m beyond n/2
-    with pytest.raises(ValueError):
-        refined_counts(16, 4, [8, 4])  # seed not sum-free
-    with pytest.raises(ValueError):
-        refined_counts(16, 3, [6])  # 2m inside S
-
-
-def test_refined_counts_partition_identity():
-    # summing msf over every admissible (m, S) counts exactly the maximal
-    # sets whose minimum lies in the lower half
-    for n in (8, 10, 12):
-        want = sum(
-            1 for s in enumerate_maximal_sum_free(n) if 2 * min(s.members) <= n
-        )
-        total = 0
-        half = list(range(1, n // 2 + 1))
-        for seed_mask in sum_free_subsets_of(half):
-            members = list(iter_mask(seed_mask))
-            if not members:
-                continue
-            m = members[0]
-            s = members[1:]
-            if 2 * m in s:
-                continue
-            total += refined_counts(n, m, s).msf
-        assert total == want, n
+def test_two_step_seed_slice():
+    # the maximal sets of [16] whose lower half is the seed {4}
+    got = two_step_enumerate(
+        IntSubset.of(16, range(1, 9)), IntSubset.of(16, range(9, 17)), 16
+    )
+    assert sum(1 for s in got if [x for x in s if x <= 8] == [4]) == 5
 
 
 def test_single_even_census_values():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sumfree
+from sumfree import checks
 from sumfree.cache import cache_key, cache_lookup, cache_store
 from sumfree.cli import run
 from sumfree.graph import from_text
@@ -280,6 +281,20 @@ def test_deterministic_verify_output(capsys):
         assert a_data[key] == b_data[key]
 
 
+def test_verify_all_through_a_pool_matches_serial(capsys):
+    def records(*argv):
+        code, out, _ = invoke(capsys, "--seed", "3", *argv, "verify", "--all")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row in rows:
+            del row["elapsed_ms"]
+        return rows
+
+    serial = records()
+    assert len(serial) == len(checks.ALL_CHECKS)
+    assert records("--workers", "2") == serial
+
+
 def test_global_flags_accepted_after_subcommand(capsys):
     # flag placement must not matter: `verify --check ... --seed 7`
     _, a, _ = invoke(capsys, "verify", "--check", "link-triangle-free", "--seed", "7")
@@ -318,3 +333,22 @@ def test_start_up_loads_only_what_the_route_needs():
             # 100 ms, and the record times only the table
             assert record["elapsed_ms"] < 50
 
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _table_rows(out: str) -> list[list[str]]:
+    # table rows start with n, right-aligned in four columns
+    return [line.split() for line in out.splitlines() if line[:4].strip().isdigit()]
+
+
+def test_scripts_run():
+    # fmax_ratio_table exits 1 if the walk and the oracle disagree
+    out = fresh_python(str(SCRIPTS / "fmax_ratio_table.py"), "--n-max", "14")
+    rows = _table_rows(out)
+    assert [int(r[0]) for r in rows] == list(range(1, 15))
+    out = fresh_python(str(SCRIPTS / "even_link_constants.py"), "--n-max", "12")
+    rows = _table_rows(out)
+    assert [int(r[0]) for r in rows] == list(range(8, 13))
+    # limit column: 3, 3 * 2^(-1/4), 2^(3/2), 2^(5/4) by n mod 4
+    assert [r[6] for r in rows] == ["3.0000", "2.5227", "2.8284", "2.3784", "3.0000"]

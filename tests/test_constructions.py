@@ -14,7 +14,6 @@ from sumfree.constructions import (
     verify_family,
     z2k_family,
     zn_prism_census,
-    zn_prism_graph,
 )
 from sumfree.group import AbelianGroup
 from sumfree.intset import IntSubset, is_sum_free
@@ -97,7 +96,7 @@ def test_prism_census():
         assert census.mis == mis
         assert census.prism_components >= census.window_size // 6 - 2
         assert census.mis >= 6 ** (census.window_size // 6 - 2)
-    g = zn_prism_graph(27)
+    g = zn_prism_census(27).graph
     assert g.num_vertices == 9
     assert count_mis(g) == 6
     # off the exact 9k grid the census still builds and counts
