@@ -16,9 +16,10 @@ Two independent routes are provided and cross-checked:
 
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
-other), the census of maximal sets with exactly one even member together
-with its inclusion-exclusion sandwich, the even-link sums whose 2^{n/4}
-ratios stabilise by residue class, and a census of sets with small sumset.
+other; the two-step-mis check compares it with the walk), the census of
+maximal sets with exactly one even member together with its
+inclusion-exclusion sandwich, the even-link sums whose 2^{n/4} ratios
+stabilise by residue class, and a census of sets with small sumset.
 """
 
 from __future__ import annotations
@@ -47,29 +48,6 @@ if TYPE_CHECKING:
 # peak RSS (whole process) on a 2-core Intel Xeon, Python 3.11.7, numpy
 # 2.4.6; the table grows about 1.43x per n
 ORACLE_MAX_N = 36
-
-
-@dataclass(frozen=True)
-class EnumRecord:
-    """One row of computed results for a ground structure."""
-
-    ground: str
-    f: int
-    f_max: int
-    method: str
-    elapsed_ms: float
-
-    def csv_row(self) -> str:
-        n = int(self.ground)
-        ratio = self.f_max / 2 ** (n / 4)
-        return (
-            f"{n},{n % 4},{self.f},{self.f_max},{ratio:.6f},"
-            f"{self.method},{self.elapsed_ms:.1f}"
-        )
-
-    CSV_HEADER = (
-        "n,residue_mod_4,f,f_max,ratio_fmax_over_2_pow_n_quarter,method,elapsed_ms"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +264,8 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
     ground = GroundSet(n)
     universe = ground.universe_mask
     b_members = f2.members
-    found: set[int] = set()
+    # a union's seed is its part in F1, so no two (seed, MIS) pairs coincide
+    found: list[int] = []
     for seed_mask in sum_free_subsets_of(f1.members):
         link = link_graph_ints(list(iter_mask(seed_mask)), b_members)
         for ind in enumerate_mis(link):
@@ -294,7 +273,7 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
             for v in ind:
                 m |= 1 << (v - 1)
             if not universe & ~m & ~mask_blocked(m):
-                found.add(m)
+                found.append(m)
     return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
 
 

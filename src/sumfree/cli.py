@@ -3,7 +3,8 @@
 One binary, subcommand style; JSON lines are the machine format, CSV for
 tabulations.  Identical invocation and seed produce byte-identical primary
 output regardless of worker count (counts merge associatively and every
-listing is canonically sorted before printing).
+listing is canonically sorted before printing).  Only `enumerate` caches its
+record, which it also formats as CSV and table; the rest always recompute.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or limit error.
 """
@@ -35,14 +36,8 @@ from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 
 ENUMERATE_MAX_N = 64
-# value types of the payloads `enumerate` and `constants` cache
+# value types of the record `enumerate` prints and caches
 _RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}
-_ROW_TYPES = {"n": int, "residue_mod_4": int, "total": str, "restricted": str,
-              "geometric_closed_form": str, "ratio": float}
-
-
-def _types(row) -> dict:
-    return {k: type(v) for k, v in row.items()} if isinstance(row, dict) else {}
 
 
 _GLOBAL_DEFAULTS = {
@@ -150,7 +145,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     params = {"n": n, "method": method}
     payload = (
         cache_lookup(args.cache_dir, "enumerate", params, valid=lambda p: (
-            _types(p) == _RECORD_TYPES and (p["ground"], p["method"]) == (str(n), method)))
+            isinstance(p, dict) and {k: type(v) for k, v in p.items()} == _RECORD_TYPES
+            and (p["ground"], p["method"]) == (str(n), method)))
         if not args.no_cache else None
     )
     if payload is None:
@@ -166,12 +162,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                    "elapsed_ms": round(elapsed, 1)}
         if not args.no_cache:
             cache_store(args.cache_dir, "enumerate", params, payload)
-    record = census.EnumRecord(**payload)
+    f, fmax = payload["f"], payload["f_max"]
     if args.output == "csv":
-        _emit(census.EnumRecord.CSV_HEADER)
-        _emit(record.csv_row())
+        _emit("n,residue_mod_4,f,f_max,ratio_fmax_over_2_pow_n_quarter,method,elapsed_ms")
+        _emit(f"{n},{n % 4},{f},{fmax},{fmax / 2 ** (n / 4):.6f},"
+              f"{method},{payload['elapsed_ms']:.1f}")
     elif args.output == "table":
-        _emit(f"n={n}  f={record.f}  f_max={record.f_max}  [{record.method}]")
+        _emit(f"n={n}  f={f}  f_max={fmax}  [{method}]")
     else:
         _emit(json.dumps(payload, sort_keys=True))
     return 0
@@ -307,38 +304,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    params = {"n_max": args.n_max}
-    payload = (
-        cache_lookup(args.cache_dir, "constants", params, valid=lambda p: (
-            isinstance(p, list)
-            and [r["n"] if _types(r) == _ROW_TYPES else None for r in p]
-            == list(range(4, args.n_max + 1))))
-        if not args.no_cache else None
-    )
-    if payload is None:
-        rows = []
-        for n in range(4, args.n_max + 1):
-            sums = census.dprime_sum(n)
-            rows.append({
-                "n": n,
-                "residue_mod_4": n % 4,
-                "total": str(sums.total),
-                "restricted": str(sums.restricted),
-                "geometric_closed_form": str(sums.geometric_closed_form),
-                "ratio": round(sums.ratio(), 6),
-            })
-        payload = rows
-        if not args.no_cache:
-            cache_store(args.cache_dir, "constants", params, payload)
+    rows = []
+    for n in range(4, args.n_max + 1):
+        sums = census.dprime_sum(n)
+        rows.append({
+            "n": n,
+            "residue_mod_4": n % 4,
+            "total": str(sums.total),
+            "restricted": str(sums.restricted),
+            "geometric_closed_form": str(sums.geometric_closed_form),
+            "ratio": round(sums.ratio(), 6),
+        })
     if args.output == "csv":
         _emit("n,residue_mod_4,total,restricted,geometric_closed_form,ratio")
-        for row in payload:
+        for row in rows:
             _emit(
                 f"{row['n']},{row['residue_mod_4']},{row['total']},"
                 f"{row['restricted']},{row['geometric_closed_form']},{row['ratio']}"
             )
     else:
-        for row in payload:
+        for row in rows:
             _emit(json.dumps(row, sort_keys=True))
     return 0
 

@@ -66,12 +66,13 @@ def mask_is_sum_free(mask: int) -> bool:
 
 
 def mask_blocked(mask: int) -> int:
-    """Elements whose addition to a sum-free `mask` breaks sum-freeness.
+    """The positive members of (S+S) | (S-S) | {s/2 : s in S even}, for any S.
 
-    blocked = (S+S) | {z - s : z, s in S} | {s/2 : s in S even}; elements of
-    S itself are not treated specially (callers intersect with the
-    complement).  Only valid when `mask` is sum-free: then every new Schur
-    triple must involve the added element.
+    Link graphs read their loops off this set, also for an S that is not
+    sum-free.  When S is sum-free, a Schur triple of S + {x} must use x, so
+    these are exactly the elements x whose addition breaks sum-freeness (the
+    blocked set); members of S are not treated specially (callers intersect
+    with the complement).
     """
     blocked = 0
     m = mask

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .graph import Graph
 from .group import AbelianGroup, GroupSubset
-from .intset import IntSubset
+from .intset import IntSubset, mask_blocked
 
 
 def link_graph_ints(s_members, b_members) -> Graph:
@@ -36,9 +36,9 @@ def link_graph_ints(s_members, b_members) -> Graph:
         for z in s:  # y ~ x iff y is x + z, z - x or x - z for some z in S
             near |= bit.get(x + z, 0) | bit.get(z - x, 0) | bit.get(x - z, 0)
         nbr.append(near & ~(1 << i))
-    sums = {z + w for z in s for w in s}
-    diffs = {z - w for z in s for w in s if z > w}
-    loops = sum(1 << i for i, x in enumerate(b) if 2 * x in s or x in sums or x in diffs)
+    # x has a loop iff x is in S+S, S-S or a half of S: what S blocks
+    blocked = mask_blocked(sum(1 << (z - 1) for z in s))
+    loops = sum(1 << i for i, x in enumerate(b) if blocked >> (x - 1) & 1)
     return Graph(tuple(b), tuple(nbr), loops)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sumfree import census
 from sumfree.census import (
-    EnumRecord,
     branch_counts,
     dprime_sum,
     enumerate_maximal_sum_free,
@@ -275,10 +274,3 @@ def test_restriction_monotone():
         inside_s = sum(1 for m in maximal if m <= s)
         inside_t = sum(1 for m in maximal if m <= t)
         assert inside_s <= inside_t
-
-
-def test_enum_record_csv():
-    rec = EnumRecord("12", 369, 37, "branch", 1.5)
-    row = rec.csv_row()
-    assert row.startswith("12,0,369,37,")
-    assert row.endswith(",branch,1.5")

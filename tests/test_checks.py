@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from sumfree import checks
 from sumfree.checks import (
     ALL_CHECKS,
     _random_sum_free,
@@ -31,6 +32,7 @@ from sumfree.group import (
     enumerate_sum_free_group,
     max_sum_free,
 )
+from sumfree.intset import IntSubset
 
 
 def test_registry_names():
@@ -67,7 +69,22 @@ def test_random_sum_free_draws_are_pinned():
 def test_two_step_mis_small():
     report = check_two_step_mis(n_max=12)
     assert report.passed
-    assert report.instances_checked > 100
+    assert report.instances_checked == 146  # sum of f_max(n) for n = 2..12
+
+
+def test_two_step_mis_reports_a_set_either_route_lacks(monkeypatch):
+    join = checks.two_step_enumerate
+
+    def broken_join(f1, f2, n):  # at n = 6: drops {1, 3, 5}, adds {1}
+        found = join(f1, f2, n)
+        return found[1:] + [IntSubset.of(n, [1])] if n == 6 else found
+
+    monkeypatch.setattr(checks, "two_step_enumerate", broken_join)
+    report = check_two_step_mis(n_max=7)
+    assert report.failures == (
+        "n=6, M=(1, 3, 5): upper part not a MIS",
+        "n=6, M=(1,): joined but not listed by the walk",
+    )
 
 
 def test_mis_bounds_small_corpus():
