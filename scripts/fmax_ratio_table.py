@@ -3,7 +3,8 @@
 
 The ratio sequences stabilise per residue class mod 4; their limits exist
 but are not reproducible at desk scale, so this script only reports the
-finite values, cross-checking the walk against the oracle for every
+finite values, cross-checking the branch route (the two-step count of f
+and the pruned walk for f_max) against the oracle for every
 n <= ORACLE_MAX_N.
 
 Usage: python scripts/fmax_ratio_table.py [--n-max 28] [--workers 4] [--csv]
@@ -33,7 +34,8 @@ def main() -> int:
         f, fmax = branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - t0) * 1000
         if n <= ORACLE_MAX_N and (f, fmax) != (want := oracle_counts(n)):
-            print(f"n = {n}: walk gives {(f, fmax)}, oracle {want}", file=sys.stderr)
+            print(f"n = {n}: branch route gives {(f, fmax)}, oracle {want}",
+                  file=sys.stderr)
             return 1
         ratio = fmax / 2 ** (n / 4)
         by_residue[n % 4].append(ratio)

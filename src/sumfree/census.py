@@ -8,11 +8,15 @@ Two independent routes are provided and cross-checked:
   is, x + x is not in m, and no member plus x lands in m), so one filter and
   one concatenation per x, x = n down to 1, grow the array; maximality is
   then one binary search per element of [n].
-* branch: one prefix-tree walk over the sum-free sets, counting f and f_max
-  in a single pass with each node's blocked mask (sums, differences and
-  halves) kept up to date, so a childless node is maximal iff one AND comes
-  out empty.  It scales past the oracle's n = 36, and the CLI splits it into a
-  breadth-first frontier of a few hundred subtrees for a process pool.
+* branch: two passes that scale past the oracle's n = 36.  f is the
+  two-step count, a sum over the sum-free seeds S in [n/2] of the number of
+  independent sets of S's link graph on the upper half.  f_max comes from
+  the prefix-tree walk over the sum-free sets, which keeps each node's
+  blocked mask (sums, differences and halves) up to date, so a childless
+  node is maximal iff one AND comes out empty, and which cuts every subtree
+  where an element below the node's maximum can no longer be blocked.  The
+  CLI splits the pruned walk into a breadth-first frontier of a few hundred
+  subtrees for a process pool.
 
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
@@ -39,7 +43,7 @@ from .intset import (
     mask_is_sum_free,
 )
 from .linkgraph import link_graph_ints, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, count_mis, enumerate_mis
+from .mis import EnumerationLimitError, count_independent, count_mis, enumerate_mis
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,21 +121,37 @@ _TASKS_PER_WORKER = 128
 _CHUNKSIZE = 8
 
 
-def _walker(n: int, universe: int, out: Optional[list] = None):
+def _walker(
+    n: int, universe: int, out: Optional[list] = None, maximal_only: bool = False
+):
     """The prefix-tree recursion over sum-free subsets of [n]; from the root
     `(allowed, 0, 0, 0)` it walks the sum-free subsets of `allowed`.
 
-    `walk(*node)` returns (f, f_max) of the node's subtree in one pass,
+    `walk(*node)` returns (nodes, f_max) of the node's subtree in one pass,
     maximality taken in `universe`, which must contain every candidate: a
     node with a child is then never maximal, and a childless node is
     maximal iff no element of the universe outside S escapes `blocked`.
     Maximal masks are appended to `out` when it is given.  With a `depth`,
     the nodes that many levels down go to `frontier` unwalked and count 0.
+
+    Unpruned, nodes is f of the subtree.  `maximal_only` cuts every subtree
+    that holds no maximal set, as a node counting 1: later elements all lie
+    above max S, so an open y below it (in the universe, not in S, not
+    blocked) can only be blocked by a z in cand with z = 2y or z - y in
+    S | cand, and when no z is, no set below the node is maximal.
     """
     top = n + 1
     halves = [0 if x % 2 else 1 << x // 2 >> 1 for x in range(top)]  # bit of x/2
 
     def walk(cand, mask, blocked, rev, depth=-1, frontier=None):
+        if maximal_only:
+            reach = mask | cand
+            opened = universe & ~mask & ~blocked & ((1 << mask.bit_length()) - 1)
+            while opened:
+                low = opened & -opened
+                opened ^= low
+                if not cand & (reach | low) << low.bit_length():
+                    return 1, 0
         if not depth:
             frontier.append((cand, mask, blocked, rev))
             return 0, 0
@@ -141,7 +161,7 @@ def _walker(n: int, universe: int, out: Optional[list] = None):
             if out is not None:
                 out.append(mask)
             return 1, 1
-        f, f_max = 1, 0
+        nodes, f_max = 1, 0
         depth -= 1
         while cand:
             low = cand & -cand
@@ -150,70 +170,84 @@ def _walker(n: int, universe: int, out: Optional[list] = None):
             t = mask | low
             tx = t << x
             blocked_t = blocked | tx | (rev >> (top - x)) | halves[x]
-            sub_f, sub_max = walk(
+            sub_nodes, sub_max = walk(
                 cand & ~tx, t, blocked_t, rev | 1 << (n - x), depth, frontier
             )
-            f += sub_f
+            nodes += sub_nodes
             f_max += sub_max
-        return f, f_max
+        return nodes, f_max
 
     return walk
 
 
 def _expand(walk, level: list[Node]) -> tuple[list[Node], int, int]:
     """One breadth-first step: the children of every node of `level`, and
-    (f, f_max) over the nodes of `level` themselves."""
+    (nodes, f_max) over the nodes of `level` themselves."""
     children: list[Node] = []
-    f = f_max = 0
+    nodes = f_max = 0
     for node in level:
-        sub_f, sub_max = walk(*node, 1, children)
-        f += sub_f
+        sub_nodes, sub_max = walk(*node, 1, children)
+        nodes += sub_nodes
         f_max += sub_max
-    return children, f, f_max
+    return children, nodes, f_max
 
 
 def _split(n: int, workers: int) -> tuple[int, int, list[Node]]:
-    """Expand the prefix tree of [n] breadth-first until the frontier holds
-    `_TASKS_PER_WORKER` subtrees per worker.  Returns (f, f_max) over the
-    expanded nodes and the frontier, whose subtrees hold the rest."""
+    """Expand the pruned prefix tree of [n] breadth-first until the frontier
+    holds `_TASKS_PER_WORKER` subtrees per worker.  Returns (nodes, f_max)
+    over the expanded nodes and the frontier, whose subtrees hold the rest."""
     universe = (1 << n) - 1
-    walk = _walker(n, universe)
+    walk = _walker(n, universe, maximal_only=True)
     level: list[Node] = [(universe, 0, 0, 0)]
-    f = f_max = 0
+    nodes = f_max = 0
     while level and len(level) < _TASKS_PER_WORKER * workers:
-        level, sub_f, sub_max = _expand(walk, level)
-        f += sub_f
+        level, sub_nodes, sub_max = _expand(walk, level)
+        nodes += sub_nodes
         f_max += sub_max
-    return f, f_max, level
+    return nodes, f_max, level
 
 
 def _subtree(n: int, node: Node) -> tuple[int, int]:
-    """(f, f_max) of one subtree of [n]'s prefix tree: the pool's task."""
-    return _walker(n, (1 << n) - 1)(*node)
+    """(nodes, f_max) of one subtree of [n]'s pruned prefix tree: the pool's
+    task."""
+    return _walker(n, (1 << n) - 1, maximal_only=True)(*node)
+
+
+def _seed_f(n: int) -> int:
+    """f(n) by the two-step split: the sum over the sum-free seeds S in
+    [n/2] of the number of independent sets of S's link graph on (n/2, n].
+    The upper half is sum-free, so S | I is sum-free iff I is independent
+    there (a loop vertex, in S+S, is in none)."""
+    half = n // 2
+    upper = range(half + 1, n + 1)
+    return sum(
+        count_independent(link_graph_ints(iter_mask(seed), upper))
+        for seed in sum_free_subsets_of(range(1, half + 1))
+    )
 
 
 def branch_counts(n: int, workers: int = 1) -> tuple[int, int]:
-    """(f(n), f_max(n)) by one prefix-tree walk, over `workers` processes."""
+    """(f(n), f_max(n)) from two passes: f by the two-step count over the
+    seeds in [n/2], f_max by the pruned walk, whose frontier goes to
+    `workers` processes while this one counts f."""
     if workers <= 1:
-        return _subtree(n, ((1 << n) - 1, 0, 0, 0))
+        return _seed_f(n), _subtree(n, ((1 << n) - 1, 0, 0, 0))[1]
     from concurrent.futures import ProcessPoolExecutor
-    f, f_max, tasks = _split(n, workers)
+    _, f_max, tasks = _split(n, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub_f, sub_max in pool.map(
-            partial(_subtree, n), tasks, chunksize=_CHUNKSIZE
-        ):
-            f += sub_f
-            f_max += sub_max
+        results = pool.map(partial(_subtree, n), tasks, chunksize=_CHUNKSIZE)
+        f = _seed_f(n)
+        f_max += sum(sub_max for _, sub_max in results)
     return f, f_max
 
 
 def f_branch(n: int, workers: int = 1) -> int:
-    """f(n) by the prefix-tree walk."""
+    """f(n) by the branch route's two-step count."""
     return branch_counts(n, workers)[0]
 
 
 def f_max_branch(n: int, workers: int = 1) -> int:
-    """f_max(n) by the prefix-tree walk."""
+    """f_max(n) by the branch route's pruned walk."""
     return branch_counts(n, workers)[1]
 
 
@@ -222,7 +256,7 @@ def enumerate_maximal_sum_free(n: int, limit: int = 40) -> list[IntSubset]:
     if n > limit:
         raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {limit}")
     out: list[int] = []
-    _walker(n, (1 << n) - 1, out)((1 << n) - 1, 0, 0, 0)
+    _walker(n, (1 << n) - 1, out, maximal_only=True)((1 << n) - 1, 0, 0, 0)
     ground = GroundSet(n)
     return [IntSubset(ground, m) for m in sorted(out, key=_mask_sort_key)]
 

@@ -114,9 +114,9 @@ def check_link_triangle_free(
 def check_two_step_mis(n_max: int = 20) -> CheckReport:
     """The two-step route, each sum-free S in [n/2] joined with every maximal
     independent set of its link graph on the upper half, lists exactly the
-    maximal sum-free sets of [n] that the walk lists.  A walk set M missing
-    from the join means M's upper part is not a MIS of the link graph of
-    M's lower part."""
+    maximal sum-free sets of [n] that the pruned walk lists.  A walk set M
+    missing from the join means M's upper part is not a MIS of the link
+    graph of M's lower part."""
     started = time.perf_counter()
     failures: list[str] = []
     instances = 0

@@ -35,7 +35,10 @@ from .linkgraph import link_family, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 
-ENUMERATE_MAX_N = 64
+# the branch route with 2 workers on a 2-core Intel Xeon (Python 3.11.7):
+# 114 s at n = 56 and 137 s at n = 57, growing at most 3.3x per +4, so n = 61
+# extrapolates to 450-510 s and n = 62 past 600 s
+ENUMERATE_MAX_N = 61
 # value types of the record `enumerate` prints and caches
 _RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}
 

@@ -1,4 +1,5 @@
-"""Exact counting and enumeration of maximal independent sets (MIS).
+"""Exact counting and enumeration of maximal independent sets (MIS), and
+the count of all independent sets that the two-step count of f(n) sums.
 
 On a graph with loops, a loop vertex can never join an independent set and
 never blocks the maximality of the others beyond its ordinary edges, so
@@ -83,6 +84,28 @@ def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     for comp in comps:
         sets = [s | c for s in sets for c in listing(comp, 0)]
     return sorted(tuple(sorted(g.labels[i] for i in _bits(m))) for m in sets)
+
+
+def count_independent(g: Graph) -> int:
+    """Number of independent sets of `g`, the empty set included; a loop
+    vertex joins none."""
+    return _independent(((1 << g.num_vertices) - 1) & ~g.loops_mask, g.nbr, {0: 1})
+
+
+def _independent(c: int, nbr: tuple[int, ...], memo: dict[int, int]) -> int:
+    """i(c) = i(c - v) + i(c minus N[v]) for the lowest vertex v of the
+    index mask c, memoised on c.  Module level, not a closure over the memo,
+    so no reference cycle keeps a finished memo alive until the next GC."""
+    hit = memo.get(c)
+    if hit is None:
+        low = c & -c
+        rest = c ^ low
+        near = rest & nbr[low.bit_length() - 1]
+        hit = memo[c] = (
+            _independent(rest, nbr, memo) + _independent(rest ^ near, nbr, memo)
+            if near else 2 * _independent(rest, nbr, memo)
+        )
+    return hit
 
 
 def _pivot(cand: int, excl: int, allowed: list[int]) -> int:

@@ -78,8 +78,10 @@ def test_branch_matches_oracle():
 
 
 def test_workers_do_not_change_counts():
-    assert f_branch(16, workers=3) == f_branch(16)
-    assert f_max_branch(16, workers=3) == f_max_branch(16)
+    for n in (16, 24):
+        serial = branch_counts(n)
+        for workers in (2, 3):
+            assert branch_counts(n, workers) == serial, (n, workers)
 
 
 def _submasks(mask):
@@ -132,6 +134,44 @@ def test_walk_state_matches_definitions_node_by_node():
         assert branch_counts(n) == (len(seen), len(maximal))
 
 
+def test_prune_cuts_only_subtrees_without_maximal_sets():
+    # every sum-free set, breadth-first through the unpruned walk, offered
+    # to the pruned one: a node it cuts has no maximal set below it, and a
+    # leaf it keeps gets the verdict of the definition
+    for n in range(1, 15):
+        universe = (1 << n) - 1
+        maximal = set(_brute_maximal(n))
+        walk = census._walker(n, universe)
+        pruned = census._walker(n, universe, maximal_only=True)
+        level = [(universe, 0, 0, 0)]
+        cuts = 0
+        while level:
+            for node in level:
+                cand, mask = node[:2]
+                kept = []
+                pruned(*node, 0, kept)
+                if not kept:
+                    cuts += 1
+                    below = (1 << mask.bit_length()) - 1
+                    assert not any(m & below == mask for m in maximal), (n, mask)
+                elif not cand:
+                    assert pruned(*node) == (1, int(mask in maximal)), (n, mask)
+            level = census._expand(walk, level)[0]
+        assert cuts or n < 3, n
+        assert census._subtree(n, (universe, 0, 0, 0))[1] == len(maximal)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 22))
+def test_routes_agree(n):
+    # the oracle, the branch route (seed count and pruned walk), the
+    # unpruned walk and the listing of maximal sets
+    f, f_max = oracle_counts(n)
+    assert branch_counts(n) == (f, f_max)
+    assert len(sum_free_subsets_of(range(1, n + 1))) == f
+    assert len(enumerate_maximal_sum_free(n)) == f_max
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sets(st.integers(1, 24), min_size=2, max_size=12).filter(
@@ -145,15 +185,17 @@ def test_sum_free_subsets_of_non_interval(members):
 
 
 def test_split_balance():
-    # the pool's frontier spreads the walk: no subtree task holds more than
-    # an eighth of the nodes, and the tasks plus the expanded nodes are f(n)
+    # the pool's frontier spreads the pruned walk: no subtree task holds
+    # more than an eighth of its nodes, and the tasks plus the expanded
+    # nodes are the whole pruned tree and its f_max
     n = 24
-    f_top, _, tasks = census._split(n, workers=2)
-    sizes = [census._subtree(n, node)[0] for node in tasks]
-    total = f_top + sum(sizes)
-    assert total == 45417  # f(24), by the oracle
+    top_nodes, top_max, tasks = census._split(n, workers=2)
+    subtrees = [census._subtree(n, node) for node in tasks]
+    nodes = top_nodes + sum(sub[0] for sub in subtrees)
+    assert nodes == census._subtree(n, ((1 << n) - 1, 0, 0, 0))[0] == 14525
+    assert top_max + sum(sub[1] for sub in subtrees) == 1043  # f_max(24)
     assert len(tasks) >= 16
-    assert 8 * max(sizes) <= total
+    assert 8 * max(sub[0] for sub in subtrees) <= nodes
 
 
 def test_enumeration_examples():

@@ -13,7 +13,7 @@ import pytest
 import sumfree
 from sumfree import checks
 from sumfree.cache import cache_key, cache_lookup, cache_store
-from sumfree.cli import run
+from sumfree.cli import ENUMERATE_MAX_N, run
 from sumfree.graph import from_text
 
 
@@ -252,11 +252,17 @@ def test_sumset_census_command(capsys):
 def test_usage_errors(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "enumerate")[0] == 2  # missing --n
-    assert invoke(capsys, "enumerate", "--n", "80")[0] == 2  # beyond the bound 64
+    assert invoke(capsys, "enumerate", "--n", "80")[0] == 2  # beyond ENUMERATE_MAX_N
     code, _, err = invoke(capsys, "group", "--desc", "K4", "--op", "mu")
     assert code == 2 and "error" in err
     code, _, err = invoke(capsys, "construct", "--family", "z2k", "--n", "8")
     assert code == 2
+
+
+def test_enumerate_work_limit_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--n", str(ENUMERATE_MAX_N + 1))
+    assert (code, out) == (2, "")
+    assert err == f"n must lie in [1, {ENUMERATE_MAX_N}]\n"
 
 
 def test_bad_workers_is_a_usage_error(capsys):

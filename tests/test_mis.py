@@ -24,6 +24,7 @@ from sumfree.mis import (
     EnumerationLimitError,
     _leq_power,
     bound_certificates,
+    count_independent,
     count_mis,
     enumerate_mis,
     mis_cycle,
@@ -31,8 +32,8 @@ from sumfree.mis import (
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
+def random_graphs(draw, max_vertices=9):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     loops = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
@@ -174,6 +175,19 @@ def test_adding_loops_never_increases_count(g):
 def test_all_bounds_hold_on_random_graphs(g):
     certs = bound_certificates(g)
     assert certs.all_hold()
+
+
+@given(random_graphs(12))
+@settings(max_examples=80, deadline=None)
+def test_independent_set_count_matches_brute_force(g):
+    n = g.num_vertices
+    independent = sum(
+        1
+        for mask in range(1 << n)
+        if not mask & g.loops_mask
+        and not any(mask >> i & 1 and g.nbr[i] & mask for i in range(n))
+    )
+    assert count_independent(g) == independent
 
 
 def exact_leq_power(count: int, base: int, expo: Fraction) -> bool:
