@@ -4,7 +4,8 @@ Entries are keyed by (operation, parameters, code-version tag) so a version
 bump invalidates everything, and stored as the JSON payload the operation
 would emit.  An entry that is corrupt, was stored for another request or
 fails the caller's payload check (`valid`) is treated as a miss; the caller
-recomputes and overwrites it.  Stores rename a finished temporary file over the entry.
+recomputes and overwrites it.  Stores rename a finished temporary file over
+the entry, or warn if they cannot write (say, the cache directory is a file).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def cache_lookup(
         if stored != (operation, params, version) or not valid(entry["payload"]):
             raise ValueError("entry does not match the request")
         return entry["payload"]
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:  # TypeError: not an object
         print(f"warning: corrupt cache entry {path.name}: {exc}", file=sys.stderr)
         return None
 
@@ -59,7 +60,6 @@ def cache_store(
     payload: Any,
     version: str = VERSION_TAG,
 ) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{cache_key(operation, params, version)}.json"
     entry = {
         "operation": operation,
@@ -69,7 +69,11 @@ def cache_store(
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"warning: cache entry {path.name} not stored: {exc}", file=sys.stderr)

@@ -8,15 +8,13 @@ Two independent routes are provided and cross-checked:
   is, x + x is not in m, and no member plus x lands in m), so one filter and
   one concatenation per x, x = n down to 1, grow the array; maximality is
   then one binary search per element of [n].
-* branch: two passes that scale past the oracle's n = 36.  f is the
-  two-step count, a sum over the sum-free seeds S in [n/2] of the number of
-  independent sets of S's link graph on the upper half.  f_max comes from
-  the prefix-tree walk over the sum-free sets, which keeps each node's
-  blocked mask (sums, differences and halves) up to date, so a childless
-  node is maximal iff one AND comes out empty, and which cuts every subtree
-  where an element below the node's maximum can no longer be blocked.  The
-  CLI splits the pruned walk into a breadth-first frontier of a few hundred
-  subtrees for a process pool.
+* branch: one pass over the sum-free seeds S = M ∩ [n/2], which scales past
+  the oracle's n = 36.  A seed's share of f is the number of independent
+  sets of its link graph on the upper half; its share of f_max comes from
+  the prefix-tree walk below S, which keeps each node's blocked mask (sums,
+  differences and halves) so a childless node is maximal iff one AND comes
+  out empty, and cuts every subtree where an open element can no longer be
+  blocked.  Chunks of seeds are the tasks of a process pool.
 
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
@@ -109,16 +107,14 @@ def f_max_oracle(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 # A walk node is a sum-free set S grown in increasing order, carried as
-# (cand, mask, blocked, rev).  cand: the allowed elements above max S that
-# are not in S+S, which are exactly its children, since a + b = y is the only
-# Schur triple a new maximum y can complete.  blocked: S+S, the differences
-# and the halves of S, equal to intset.mask_blocked(mask).  rev: S reversed
-# (element s at bit n - s), so a new maximum x adds differences rev >> (n+1-x).
-Node = tuple[int, int, int, int]
+# (cand, mask, blocked, rev).  cand: its children, allowed elements above
+# max S (from a seed in [n/2], in (n/2, n]) not in S+S, as a + b = y is the
+# only Schur triple a new maximum y can complete.  blocked: S+S, the
+# differences and the halves of S, equal to intset.mask_blocked(mask).  rev:
+# S reversed (element s at bit n - s), so a new maximum x adds differences
+# rev >> (n+1-x).
 
-# frontier subtrees per pool worker: the heaviest is a few percent of the walk
-_TASKS_PER_WORKER = 128
-_CHUNKSIZE = 8
+_CHUNKS_PER_WORKER = 16  # the heaviest chunk then holds a few percent of the walk
 
 
 def _walker(
@@ -135,10 +131,11 @@ def _walker(
     the nodes that many levels down go to `frontier` unwalked and count 0.
 
     Unpruned, nodes is f of the subtree.  `maximal_only` cuts every subtree
-    that holds no maximal set, as a node counting 1: later elements all lie
-    above max S, so an open y below it (in the universe, not in S, not
-    blocked) can only be blocked by a z in cand with z = 2y or z - y in
-    S | cand, and when no z is, no set below the node is maximal.
+    that holds no maximal set, as a node counting 1: an open y (in the
+    universe, not in S, blocked or cand) lies below every later element, so
+    only a z in cand with z = 2y or z - y in S | cand can block it, and when
+    no z is, no set below the node is maximal.  From a seed the open y
+    include the unblocked elements of (max S, n/2].
     """
     top = n + 1
     halves = [0 if x % 2 else 1 << x // 2 >> 1 for x in range(top)]  # bit of x/2
@@ -146,7 +143,7 @@ def _walker(
     def walk(cand, mask, blocked, rev, depth=-1, frontier=None):
         if maximal_only:
             reach = mask | cand
-            opened = universe & ~mask & ~blocked & ((1 << mask.bit_length()) - 1)
+            opened = universe & ~mask & ~blocked & ~cand
             while opened:
                 low = opened & -opened
                 opened ^= low
@@ -180,65 +177,38 @@ def _walker(
     return walk
 
 
-def _expand(walk, level: list[Node]) -> tuple[list[Node], int, int]:
-    """One breadth-first step: the children of every node of `level`, and
-    (nodes, f_max) over the nodes of `level` themselves."""
-    children: list[Node] = []
-    nodes = f_max = 0
-    for node in level:
-        sub_nodes, sub_max = walk(*node, 1, children)
-        nodes += sub_nodes
-        f_max += sub_max
-    return children, nodes, f_max
-
-
-def _split(n: int, workers: int) -> tuple[int, int, list[Node]]:
-    """Expand the pruned prefix tree of [n] breadth-first until the frontier
-    holds `_TASKS_PER_WORKER` subtrees per worker.  Returns (nodes, f_max)
-    over the expanded nodes and the frontier, whose subtrees hold the rest."""
-    universe = (1 << n) - 1
-    walk = _walker(n, universe, maximal_only=True)
-    level: list[Node] = [(universe, 0, 0, 0)]
-    nodes = f_max = 0
-    while level and len(level) < _TASKS_PER_WORKER * workers:
-        level, sub_nodes, sub_max = _expand(walk, level)
-        nodes += sub_nodes
-        f_max += sub_max
-    return nodes, f_max, level
-
-
-def _subtree(n: int, node: Node) -> tuple[int, int]:
-    """(nodes, f_max) of one subtree of [n]'s pruned prefix tree: the pool's
-    task."""
-    return _walker(n, (1 << n) - 1, maximal_only=True)(*node)
-
-
-def _seed_f(n: int) -> int:
-    """f(n) by the two-step split: the sum over the sum-free seeds S in
-    [n/2] of the number of independent sets of S's link graph on (n/2, n].
-    The upper half is sum-free, so S | I is sum-free iff I is independent
-    there (a loop vertex, in S+S, is in none)."""
+def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
+    """(f, f_max) over the sets of [n] whose part in [n/2] is in `seeds`.
+    The upper half is sum-free, so S | I is sum-free iff I is independent in
+    S's link graph there; the walk starts at S with the upper half, where S
+    blocks only S+S, as cand."""
     half = n // 2
-    upper = range(half + 1, n + 1)
-    return sum(
-        count_independent(link_graph_ints(iter_mask(seed), upper))
-        for seed in sum_free_subsets_of(range(1, half + 1))
-    )
+    upper = (1 << n) - 1 >> half << half
+    walk = _walker(n, (1 << n) - 1, maximal_only=True)
+    f = f_max = 0
+    for seed in seeds:
+        f += count_independent(link_graph_ints(iter_mask(seed), range(half + 1, n + 1)))
+        blocked = mask_blocked(seed)
+        rev = sum(1 << (n - s) for s in iter_mask(seed))
+        f_max += walk(upper & ~blocked, seed, blocked, rev)[1]
+    return f, f_max
 
 
 def branch_counts(n: int, workers: int = 1) -> tuple[int, int]:
-    """(f(n), f_max(n)) from two passes: f by the two-step count over the
-    seeds in [n/2], f_max by the pruned walk, whose frontier goes to
-    `workers` processes while this one counts f."""
+    """(f(n), f_max(n)) as sums of `_seed_counts` over the sum-free seeds in
+    [n/2]: one chunk in this process, or `_CHUNKS_PER_WORKER` striped chunks
+    per worker in a pool of `workers`."""
+    seeds = sum_free_subsets_of(range(1, n // 2 + 1))
+    k = 1 if workers <= 1 else workers * _CHUNKS_PER_WORKER
+    chunks = [seeds[i::k] for i in range(k)]
+    task = partial(_seed_counts, n)
     if workers <= 1:
-        return _seed_f(n), _subtree(n, ((1 << n) - 1, 0, 0, 0))[1]
-    from concurrent.futures import ProcessPoolExecutor
-    _, f_max, tasks = _split(n, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(partial(_subtree, n), tasks, chunksize=_CHUNKSIZE)
-        f = _seed_f(n)
-        f_max += sum(sub_max for _, sub_max in results)
-    return f, f_max
+        counts = list(map(task, chunks))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(task, chunks))
+    return sum(f for f, _ in counts), sum(f_max for _, f_max in counts)
 
 
 def f_branch(n: int, workers: int = 1) -> int:
@@ -270,11 +240,13 @@ def sum_free_subsets_of(members: Iterable[int]) -> list[int]:
     increasing size."""
     allowed = sum(1 << (x - 1) for x in set(members))
     walk = _walker(allowed.bit_length(), allowed)
-    level: list[Node] = [(allowed, 0, 0, 0)]
+    level = [(allowed, 0, 0, 0)]
     out: list[int] = []
     while level:
         out.extend(node[1] for node in level)
-        level = _expand(walk, level)[0]
+        parents, level = level, []
+        for node in parents:
+            walk(*node, 1, level)  # its children, one level down
     return out
 
 

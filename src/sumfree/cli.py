@@ -39,6 +39,7 @@ from .mis import EnumerationLimitError, count_mis, enumerate_mis
 # 114 s at n = 56 and 137 s at n = 57, growing at most 3.3x per +4, so n = 61
 # extrapolates to 450-510 s and n = 62 past 600 s
 ENUMERATE_MAX_N = 61
+MAX_WORKERS = 64  # each a whole interpreter process, and a pool may start all at once
 # value types of the record `enumerate` prints and caches
 _RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}
 
@@ -367,6 +368,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             setattr(args, key, default)
     if args.workers < 1:
         print("error: workers must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers > MAX_WORKERS:
+        print(f"error: workers must be <= {MAX_WORKERS}", file=sys.stderr)
         return 2
     if args.cache_dir is None:
         args.cache_dir = default_cache_dir()

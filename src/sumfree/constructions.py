@@ -41,7 +41,13 @@ from .group import (
 )
 from .intset import IntSubset, is_sum_free, mask_is_sum_free
 from .linkgraph import link_graph_group
-from .mis import count_mis, enumerate_mis
+from .mis import EnumerationLimitError, count_mis, enumerate_mis
+
+# with verify_family on a 2-core Intel Xeon: ce-odd at n = 56 (2^14 members)
+# takes 0.9 s and z2k at k = 6 (2^16) over 5 minutes; group link graphs cost
+# O(order^2), and index3 takes 0.8 s on Z63 (512 members), 21 s on Z81 (4096)
+FAMILY_MAX_MEMBERS = 1 << 14
+FAMILY_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,16 @@ def verify_family(fam: Family) -> list[str]:
     return problems
 
 
+def _bound(log2_members: int = 0, order: int = 0) -> None:
+    """Refuse 2^log2_members > FAMILY_MAX_MEMBERS or order > FAMILY_MAX_ORDER."""
+    if log2_members >= FAMILY_MAX_MEMBERS.bit_length():
+        raise EnumerationLimitError(f"members exceed the family limit {FAMILY_MAX_MEMBERS}")
+    if order > FAMILY_MAX_ORDER:
+        raise EnumerationLimitError(
+            f"group order {order} exceeds the family limit {FAMILY_MAX_ORDER}"
+        )
+
+
 def _key(member: Union[IntSubset, GroupSubset]):
     if isinstance(member, IntSubset):
         return ("int", member.mask)
@@ -106,6 +122,7 @@ def ce_odd_family(n: int) -> Family:
     if n < 4:
         raise FamilyError("need n >= 4")
     m = n if n % 2 == 0 else n - 1
+    _bound(m // 4)  # one pair per odd x < m/2
     pairs = [(x, m - x) for x in range(1, (m + 1) // 2, 2) if x < m / 2]
     members = []
     for pick in range(1 << len(pairs)):
@@ -122,6 +139,7 @@ def interval_family(n: int) -> Family:
     if n % 4:
         raise FamilyError("interval family needs 4 | n")
     q = n // 4
+    _bound(q)
     top = list(range(3 * q + 1, n + 1))
     members = []
     for pick in range(1 << len(top)):
@@ -136,6 +154,7 @@ def z2k_family(k: int) -> Family:
     """One endpoint per matching edge in Z_2^k; 2^{2^k / 4} members."""
     if k < 2:
         raise FamilyError("need k >= 2")
+    _bound(1 << min(k - 2, 64))  # 2^{k-2} edges; 2^64 is past any limit
     grp = AbelianGroup((2,) * k)
     x = tuple([0, 1] + [0] * (k - 2))
     half = [g for g in grp.elements() if g[0] == 1]
@@ -174,6 +193,7 @@ def zn_prism_census(n: int) -> PrismCensus:
     k = n // 9
     if k < 1:
         raise FamilyError("need n >= 9")
+    _bound(order=n)
     grp = AbelianGroup((n,))
     s = GroupSubset.of(grp, {(k % n,), ((n - 2 * k) % n,)})
     window = GroupSubset.of(grp, {(v,) for v in range(3 * k + 1, 6 * k + 1)})
@@ -208,6 +228,7 @@ def index3_family(group: AbelianGroup) -> Family:
     """Matching-with-loops construction on an index-3 coset; requires odd
     order divisible by 3."""
     n = group.order
+    _bound(order=n)
     if n % 3 or n % 2 == 0:
         raise FamilyError("need odd order divisible by 3")
     cosets = coset_partition(group, 3)
@@ -217,6 +238,7 @@ def index3_family(group: AbelianGroup) -> Family:
 def exponent7_family(group: AbelianGroup) -> Family:
     """Perfect-matching construction between two index-7 cosets; requires
     exponent exactly 7 (then the count is 2^{n/7 - 1})."""
+    _bound(order=group.order)
     if group.exponent != 7:
         raise FamilyError("need exponent 7")
     cosets = coset_partition(group, 7)

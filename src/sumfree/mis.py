@@ -189,9 +189,6 @@ class BoundCertificates:
     exact: int
     checks: tuple[BoundCheck, ...]
 
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks if c.applicable)
-
 
 def _leq_power(count: int, base: int, expo: Fraction) -> bool:
     """count <= base**expo (integer base >= 2), exactly: for expo = num/den,

@@ -105,6 +105,25 @@ def _brute_maximal(n):
     )
 
 
+def _children(walk, level):
+    # the nodes one level below `level`, through the walk's frontier
+    children = []
+    for node in level:
+        walk(*node, 1, children)
+    return children
+
+
+def _seed_node(n, seed):
+    # the walk node of a seed S in [n/2] whose children lie in (n/2, n]:
+    # there cand is every element not in S+S, by the definitions
+    sums = 0
+    for s in iter_mask(seed):
+        sums |= seed << s
+    upper = (1 << n) - (1 << n // 2)
+    rev = sum(1 << (n - s) for s in iter_mask(seed))
+    return upper & ~sums, seed, mask_blocked(seed), rev
+
+
 def test_walk_state_matches_definitions_node_by_node():
     # every node the walk reaches, breadth-first through the same recursion,
     # carries the blocked mask and the children the definitions give
@@ -123,7 +142,7 @@ def test_walk_state_matches_definitions_node_by_node():
                 assert cand == universe & ~sums >> top << top, (n, mask)
                 assert rev == sum(1 << (n - s) for s in iter_mask(mask))
                 seen.append(mask)
-            level = census._expand(walk, level)[0]
+            level = _children(walk, level)
         assert sorted(seen) == sorted(
             m for m in _submasks(universe) if mask_is_sum_free(m)
         )
@@ -135,30 +154,46 @@ def test_walk_state_matches_definitions_node_by_node():
 
 
 def test_prune_cuts_only_subtrees_without_maximal_sets():
-    # every sum-free set, breadth-first through the unpruned walk, offered
-    # to the pruned one: a node it cuts has no maximal set below it, and a
-    # leaf it keeps gets the verdict of the definition
+    # every sum-free set, breadth-first through the unpruned walk from the
+    # root and from each seed node, offered to the pruned walk: a node it
+    # cuts has no maximal set below it (a set M is below a node when M
+    # holds S and takes its other elements from cand), and a leaf it keeps
+    # gets the verdict of the definition
     for n in range(1, 15):
         universe = (1 << n) - 1
         maximal = set(_brute_maximal(n))
         walk = census._walker(n, universe)
         pruned = census._walker(n, universe, maximal_only=True)
-        level = [(universe, 0, 0, 0)]
+        seeds = sum_free_subsets_of(range(1, n // 2 + 1))
         cuts = 0
-        while level:
-            for node in level:
-                cand, mask = node[:2]
-                kept = []
-                pruned(*node, 0, kept)
-                if not kept:
-                    cuts += 1
-                    below = (1 << mask.bit_length()) - 1
-                    assert not any(m & below == mask for m in maximal), (n, mask)
-                elif not cand:
-                    assert pruned(*node) == (1, int(mask in maximal)), (n, mask)
-            level = census._expand(walk, level)[0]
+        for start in [(universe, 0, 0, 0)] + [_seed_node(n, s) for s in seeds]:
+            level = [start]
+            while level:
+                for node in level:
+                    cand, mask = node[:2]
+                    kept = []
+                    pruned(*node, 0, kept)
+                    if not kept:
+                        cuts += 1
+                        assert not any(m & ~cand == mask for m in maximal), (n, mask)
+                    elif not cand:
+                        assert pruned(*node) == (1, int(mask in maximal)), (n, mask)
+                level = _children(walk, level)
         assert cuts or n < 3, n
-        assert census._subtree(n, (universe, 0, 0, 0))[1] == len(maximal)
+        assert pruned(universe, 0, 0, 0)[1] == len(maximal)
+
+
+def test_seed_counts_match_brute_force():
+    # each seed's share: the sum-free M of [n] with M ∩ [n/2] = S, and how
+    # many of them are maximal
+    for n in range(1, 15):
+        lower = (1 << n // 2) - 1
+        maximal = set(_brute_maximal(n))
+        sets = [m for m in _submasks((1 << n) - 1) if mask_is_sum_free(m)]
+        for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
+            share = [m for m in sets if m & lower == seed]
+            want = (len(share), sum(m in maximal for m in share))
+            assert census._seed_counts(n, [seed]) == want, (n, seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,18 +219,43 @@ def test_sum_free_subsets_of_non_interval(members):
     assert sorted(got) == sorted(m for m in _submasks(allowed) if mask_is_sum_free(m))
 
 
-def test_split_balance():
-    # the pool's frontier spreads the pruned walk: no subtree task holds
-    # more than an eighth of its nodes, and the tasks plus the expanded
-    # nodes are the whole pruned tree and its f_max
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor in this process and keeps the
+    tasks it is handed."""
+
+    tasks = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        _RecordingPool.tasks = list(tasks)
+        return map(fn, _RecordingPool.tasks)
+
+
+def test_split_balance(monkeypatch):
+    # the pool's tasks are chunks of seeds that together give f(24) and
+    # f_max(24), and no chunk holds more than an eighth of the nodes the
+    # pruned walk visits below the seeds
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     n = 24
-    top_nodes, top_max, tasks = census._split(n, workers=2)
-    subtrees = [census._subtree(n, node) for node in tasks]
-    nodes = top_nodes + sum(sub[0] for sub in subtrees)
-    assert nodes == census._subtree(n, ((1 << n) - 1, 0, 0, 0))[0] == 14525
-    assert top_max + sum(sub[1] for sub in subtrees) == 1043  # f_max(24)
-    assert len(tasks) >= 16
-    assert 8 * max(sub[0] for sub in subtrees) <= nodes
+    assert branch_counts(n, workers=2) == (45417, 1043)
+    chunks = _RecordingPool.tasks
+    pruned = census._walker(n, (1 << n) - 1, maximal_only=True)
+    nodes = [sum(pruned(*_seed_node(n, s))[0] for s in chunk) for chunk in chunks]
+    assert len(chunks) >= 16
+    assert sorted(s for chunk in chunks for s in chunk) == sorted(
+        sum_free_subsets_of(range(1, n // 2 + 1))
+    )
+    assert 8 * max(nodes) <= sum(nodes)
 
 
 def test_enumeration_examples():

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import sumfree
-from sumfree import checks
+from sumfree import checks, constructions
 from sumfree.cache import cache_key, cache_lookup, cache_store
-from sumfree.cli import ENUMERATE_MAX_N, run
+from sumfree.cli import ENUMERATE_MAX_N, MAX_WORKERS, run
+from sumfree.constructions import FAMILY_MAX_MEMBERS, FAMILY_MAX_ORDER
 from sumfree.graph import from_text
 
 
@@ -68,14 +69,27 @@ def test_enumerate_cache_round_trip(capsys, cache_dir):
 def test_corrupt_cache_recovers(capsys, cache_dir):
     invoke(capsys, "--cache-dir", str(cache_dir), "enumerate", "--n", "9")
     entry = next(cache_dir.glob("*.json"))
-    entry.write_text("{ not json")
-    code, out, err = invoke(
-        capsys, "--cache-dir", str(cache_dir), "enumerate", "--n", "9"
-    )
-    assert code == 0
-    assert json.loads(out)["f"] == 108
-    assert "corrupt cache entry" in err
-    assert json.loads(entry.read_text())["payload"]["f"] == 108  # overwritten
+    # not JSON, then JSON that is not an object
+    for text in ("{ not json", "[]", '"x"'):
+        entry.write_text(text)
+        code, out, err = invoke(
+            capsys, "--cache-dir", str(cache_dir), "enumerate", "--n", "9"
+        )
+        assert code == 0, text
+        assert json.loads(out)["f"] == 108
+        assert "corrupt cache entry" in err
+        assert json.loads(entry.read_text())["payload"]["f"] == 108  # overwritten
+
+
+def test_cache_dir_that_is_a_file_only_warns(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    for target in (blocker, blocker / "sub"):
+        code, out, err = invoke(capsys, "--cache-dir", str(target), "enumerate", "--n", "9")
+        assert code == 0, target
+        assert (json.loads(out)["f"], json.loads(out)["f_max"]) == (108, 17)
+        assert err.startswith("warning: cache entry ") and "not stored" in err
+    assert blocker.read_text() == "not a directory"
 
 
 _RECORD_5 = {"ground": "5", "f": 16, "f_max": 5, "method": "branch", "elapsed_ms": 0.1}
@@ -269,6 +283,62 @@ def test_bad_workers_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, "--workers", "0", "enumerate", "--n", "5")
     assert code == 2 and out == ""
     assert err == "error: workers must be >= 1\n"
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a pool was started")
+
+
+def test_too_many_workers_is_a_usage_error(capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    for argv in (["enumerate", "--n", "48"], ["verify", "--all"]):
+        code, out, err = invoke(capsys, "--workers", str(MAX_WORKERS + 1), *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: workers must be <= {MAX_WORKERS}\n"
+
+
+class _Unbuilt:
+    """Stands in for what builds members and graphs; any use fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"built {name} past the limit")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("built a graph past the limit")
+
+
+@pytest.fixture()
+def nothing_built(monkeypatch):
+    for name in ("IntSubset", "GroupSubset", "link_graph_group", "coset_partition"):
+        monkeypatch.setattr(constructions, name, _Unbuilt())
+
+
+@pytest.mark.parametrize("argv", [
+    # the smallest inputs past 2^14 members: 2^15 each, and 2^16 for z2k
+    ["--family", "ce-odd", "--n", "60"],
+    ["--family", "interval", "--n", "60"],
+    ["--family", "z2k", "--k", "6"],
+])
+def test_family_member_limit(capsys, nothing_built, argv):
+    assert FAMILY_MAX_MEMBERS == 1 << 14
+    code, out, err = invoke(capsys, "construct", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"family limit {FAMILY_MAX_MEMBERS}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "zn-prism", "--n", str(FAMILY_MAX_ORDER + 1)],
+    ["--family", "index3", "--group", f"Z{FAMILY_MAX_ORDER + 1}"],
+    ["--family", "exponent7", "--group", f"Z{FAMILY_MAX_ORDER + 1}"],
+])
+def test_family_order_limit(capsys, nothing_built, argv):
+    code, out, err = invoke(capsys, "construct", *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: group order {FAMILY_MAX_ORDER + 1} exceeds the family "
+                   f"limit {FAMILY_MAX_ORDER}\n")
 
 
 def test_enumeration_limit_is_a_usage_error(capsys):
