@@ -40,8 +40,8 @@ from .intset import (
     mask_blocked,
     mask_is_sum_free,
 )
-from .linkgraph import link_graph_ints, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, count_independent, count_mis, enumerate_mis
+from .linkgraph import link_masks, link_pair_even, link_single_even
+from .mis import EnumerationLimitError, count_independent, count_mis, mis_masks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,7 +187,8 @@ def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     walk = _walker(n, (1 << n) - 1, maximal_only=True)
     f = f_max = 0
     for seed in seeds:
-        f += count_independent(link_graph_ints(iter_mask(seed), range(half + 1, n + 1)))
+        free, nbr = link_masks(seed, upper)
+        f += count_independent(nbr, free)
         blocked = mask_blocked(seed)
         rev = sum(1 << (n - s) for s in iter_mask(seed))
         f_max += walk(upper & ~blocked, seed, blocked, rev)[1]
@@ -269,15 +270,13 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
         raise ValueError("the extension part must be sum-free")
     ground = GroundSet(n)
     universe = ground.universe_mask
-    b_members = f2.members
-    # a union's seed is its part in F1, so no two (seed, MIS) pairs coincide
+    # a union's seed is its part in F1, so no two (seed, MIS) pairs coincide;
+    # a MIS of the element-space link graph is already a mask of [n]
     found: list[int] = []
     for seed_mask in sum_free_subsets_of(f1.members):
-        link = link_graph_ints(list(iter_mask(seed_mask)), b_members)
-        for ind in enumerate_mis(link):
-            m = seed_mask
-            for v in ind:
-                m |= 1 << (v - 1)
+        free, nbr = link_masks(seed_mask, f2.mask)
+        for ind in mis_masks(nbr, free):
+            m = seed_mask | ind
             if not universe & ~m & ~mask_blocked(m):
                 found.append(m)
     return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
@@ -373,18 +372,27 @@ def small_sumset_count(
 ) -> SumsetCensus:
     """Exact census of s-subsets of [d] with sumset at most r*s, next to the
     corresponding counting bound (informational: the bound's validity
-    threshold in s is an unspecified constant)."""
+    threshold in s is an unspecified constant).  An s-set has at most
+    s(s+1)/2 sums, so r past (s+1)/2 admits all: r is capped at s + 1, delta
+    at 1, the pair sums at `limit` and the bound at the float range."""
     if s < 1 or d < s:
         raise ValueError("need 1 <= s <= d")
-    if math.comb(d, s) > limit:
-        raise EnumerationLimitError(f"C({d},{s}) exceeds the census limit {limit}")
+    for name, value, cap in (("r", r, s + 1), ("delta", delta, 1)):
+        if not (math.isfinite(value) and 0 <= value <= cap):
+            raise ValueError(f"{name} = {value} must lie in [0, {cap}]")
+    pairs = s * (s + 1) // 2
+    if pairs > limit or math.comb(d, s) * pairs > limit:
+        raise EnumerationLimitError(
+            f"C({d},{s}) sets of {pairs} sums each exceed the census limit {limit}")
     rr = Fraction(r).limit_denominator(10**6) if isinstance(r, float) else Fraction(r)
+    comb, power = math.comb(math.floor(rr * s / 2), s), d ** math.floor(float(rr) + delta)
+    if comb and delta * s + math.log2(comb * power) >= 1023:
+        raise EnumerationLimitError("the bound exceeds the float range")
     threshold = rr * s
     count = 0
     for combo in combinations(range(1, d + 1), s):
         sums = {a + b for i, a in enumerate(combo) for b in combo[i:]}
         if len(sums) <= threshold:
             count += 1
-    half = math.floor(rr * s / 2)
-    bound = 2 ** (delta * s) * math.comb(half, s) * d ** math.floor(float(rr) + delta)
+    bound = 2 ** (delta * s) * comb * power
     return SumsetCensus(d, s, rr, count, float(bound), delta)

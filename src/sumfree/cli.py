@@ -376,7 +376,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args.cache_dir = default_cache_dir()
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError, EnumerationLimitError) as exc:
+    except (ValueError, KeyError, OSError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

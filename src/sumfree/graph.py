@@ -177,17 +177,18 @@ def degree_stats(g: Graph) -> tuple[int, int, int]:
     return (min(degs), max(degs), g.edge_count())
 
 
-def component_masks(g: Graph, within: int = -1) -> list[int]:
+def component_masks(nbr: Sequence[int], within: int = -1) -> list[int]:
     """Index masks of the connected components of the subgraph induced on
-    the index mask `within` (every vertex by default), by lowest index."""
-    rest = within & ((1 << g.num_vertices) - 1)
+    the index mask `within` (every vertex by default) of the graph with
+    neighbour masks `nbr`, by lowest index."""
+    rest = within & ((1 << len(nbr)) - 1)
     comps = []
     while rest:
         comp = frontier = rest & -rest
         while frontier:
             nxt = 0
             for i in _bits(frontier):
-                nxt |= g.nbr[i]
+                nxt |= nbr[i]
             frontier = nxt & rest & ~comp
             comp |= frontier
         rest &= ~comp
@@ -197,7 +198,7 @@ def component_masks(g: Graph, within: int = -1) -> list[int]:
 
 def connected_components(g: Graph) -> list[Graph]:
     """Split into induced subgraphs, one per connected component."""
-    return [_induced(g, c) for c in component_masks(g)]
+    return [_induced(g, c) for c in component_masks(g.nbr)]
 
 
 def induced_subgraph(g: Graph, labels: Sequence[int]) -> Graph:

@@ -16,30 +16,46 @@ The family built on the upper half, L(n, m, S) = link graph of S + {m} on
 [n/2+1, n] with m <= n/2 and S inside [n/2], is the workhorse for counting
 maximal sum-free sets whose minimum is m: its vertices in S+S and S+m all
 carry loops, and with max(S + {m}) below min(B) the graph is triangle-free.
+
+Over the integers the link graph is built in element space (element x at
+bit x - 1) by `link_masks`, from three shifts of the mask of S per vertex;
+the census feeds those masks straight to the MIS recursion, and
+`link_graph_ints` relabels them onto B's index space as a `Graph`.
 """
 
 from __future__ import annotations
 
 from .graph import Graph
 from .group import AbelianGroup, GroupSubset
-from .intset import IntSubset, mask_blocked
+from .intset import IntSubset, iter_mask, mask_blocked
+
+
+def link_masks(s_mask: int, b_mask: int) -> tuple[int, list[int]]:
+    """(free, nbr): the link graph of S on B in element space, for any S and
+    B (they may overlap, S need not be sum-free).  nbr[x - 1] is the mask of
+    the y in B other than x with y = x + z, z - x or x - z for some z in S;
+    free is B without its loop vertices, which are what S blocks."""
+    top = max(s_mask.bit_length(), b_mask.bit_length()) + 1
+    # S reversed, element z at bit top - 1 - z, so x - z is rev >> (top - x)
+    rev = sum(1 << (top - 1 - z) for z in iter_mask(s_mask))
+    nbr = [0] * b_mask.bit_length()
+    for x in iter_mask(b_mask):
+        near = (s_mask << x) | (s_mask >> x) | (rev >> (top - x))
+        nbr[x - 1] = near & b_mask & ~(1 << (x - 1))
+    return b_mask & ~mask_blocked(s_mask), nbr
 
 
 def link_graph_ints(s_members, b_members) -> Graph:
     """Integer link graph; vertex labels are the elements of B."""
-    s = set(s_members)
     b = sorted(set(b_members))
-    bit = {x: 1 << i for i, x in enumerate(b)}
-    nbr = []
-    for i, x in enumerate(b):
-        near = 0
-        for z in s:  # y ~ x iff y is x + z, z - x or x - z for some z in S
-            near |= bit.get(x + z, 0) | bit.get(z - x, 0) | bit.get(x - z, 0)
-        nbr.append(near & ~(1 << i))
-    # x has a loop iff x is in S+S, S-S or a half of S: what S blocks
-    blocked = mask_blocked(sum(1 << (z - 1) for z in s))
-    loops = sum(1 << i for i, x in enumerate(b) if blocked >> (x - 1) & 1)
-    return Graph(tuple(b), tuple(nbr), loops)
+    index = {x: 1 << i for i, x in enumerate(b)}
+    b_mask = sum(1 << (x - 1) for x in b)
+    free, nbr = link_masks(sum(1 << (z - 1) for z in set(s_members)), b_mask)
+
+    def relabel(mask: int) -> int:
+        return sum(index[x] for x in iter_mask(mask))
+
+    return Graph(tuple(b), tuple(relabel(nbr[x - 1]) for x in b), relabel(b_mask ^ free))
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:

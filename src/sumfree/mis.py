@@ -1,22 +1,25 @@
 """Exact counting and enumeration of maximal independent sets (MIS), and
 the count of all independent sets that the two-step count of f(n) sums.
 
-On a graph with loops, a loop vertex can never join an independent set and
-never blocks the maximality of the others beyond its ordinary edges, so
-counting keeps to the loop-free vertices, the index mask `~loops_mask`.
+The recursions take raw neighbour masks `nbr` and a vertex mask `free`: a
+loop vertex never joins an independent set and never blocks the maximality
+of the others beyond its ordinary edges, so it is left out of `free`.  A
+`Graph` gives its index masks and `~loops_mask`; the census passes the
+element-space masks of `linkgraph.link_masks` as they are.
 
-Counting works per connected component of those (an index mask, not a
+Counting works per connected component of `free` (an index mask, not a
 rebuilt subgraph) and multiplies the results.  Inside a component the
 recursion is the classic candidates/excluded scheme: the number of maximal
 independent sets extending the current choice depends only on the pair
-(candidates, excluded), so results are memoised on that pair.  The pivot
-rule branches over a closed neighbourhood, which keeps the branch factor at
-degree + 1 on the sparse structured graphs this package produces.
+(candidates, excluded), so results are memoised on that pair.  The
+Tomita-Tanaka-Takahashi pivot branches over a closed neighbourhood, which
+keeps the branch factor at degree + 1 on the sparse structured graphs this
+package produces.
 
-Enumeration counts first and refuses past its cap (unless the 3^{n/3} bound
+Listing counts first and refuses past its cap (unless the 3^{n/3} bound
 already keeps it under), then runs the same memoised recursion with lists of
-sets in place of counts, and returns sets in canonical order (lexicographic on
-sorted vertex labels).
+sets in place of counts.  `enumerate_mis` returns label tuples in canonical
+order (lexicographic on sorted vertex labels).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph import (
     Graph,
@@ -45,57 +48,60 @@ class EnumerationLimitError(RuntimeError):
 _VERTEX_LIMIT = 80  # loop-free vertices counted or listed
 
 
-def _loop_free_components(g: Graph, limit: int) -> list[int]:
-    """Index masks of the components of `g` without its loop vertices."""
-    free = ((1 << g.num_vertices) - 1) & ~g.loops_mask
+def _components(nbr: Sequence[int], free: int, limit: int = _VERTEX_LIMIT) -> list[int]:
+    """Masks of the components of `free`, refused past `limit` vertices."""
     if free.bit_count() > limit:
         raise EnumerationLimitError(
-            f"{free.bit_count()} loop-free vertices exceeds the limit {limit}"
-        )
-    return component_masks(g, free)
+            f"{free.bit_count()} loop-free vertices exceeds the limit {limit}")
+    return component_masks(nbr, free)
 
 
 def count_mis(g: Graph, limit: int = _VERTEX_LIMIT) -> int:
     """Exact number of maximal independent sets of `g`."""
-    comps = _loop_free_components(g, limit)
-    count = _component_mis(g, 1, 0, lambda low, r: r)
+    comps = _components(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, limit)
+    count = _component_mis(g.nbr, 1, 0, lambda low, r: r)
     return math.prod(count(comp, 0) for comp in comps)
 
 
-def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """All maximal independent sets, as sorted label tuples in canonical
-    (lexicographic) order.  Raises before listing if there are more than
-    `cap`, so memory stays bounded by the output."""
-    comps = _loop_free_components(g, _VERTEX_LIMIT)
+def mis_masks(nbr: Sequence[int], free: int, cap: int = 1_000_000) -> list[int]:
+    """The maximal independent sets of the graph `nbr` restricted to the
+    vertex mask `free`, as vertex masks in no set order.  Raises before
+    listing if there are more than `cap`, so memory stays bounded by the
+    output."""
+    comps = _components(nbr, free)
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
     if 3 ** sum(c.bit_count() for c in comps) > cap**3:
-        count = _component_mis(g, 1, 0, lambda low, r: r)
-        total = 1
-        for comp in comps:
-            total *= count(comp, 0)
-            if total > cap:
-                raise EnumerationLimitError(f"more than {cap} maximal independent sets")
+        count = _component_mis(nbr, 1, 0, lambda low, r: r)
+        if math.prod(count(comp, 0) for comp in comps) > cap:
+            raise EnumerationLimitError(f"more than {cap} maximal independent sets")
 
     def extend(low: int, found: list[int]) -> list[int]:
         return [low | s for s in found]
 
-    listing = _component_mis(g, [0], [], extend)
+    listing = _component_mis(nbr, [0], [], extend)
     sets = [0]
     for comp in comps:
         sets = [s | c for s in sets for c in listing(comp, 0)]
+    return sets
+
+
+def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
+    """All maximal independent sets, as sorted label tuples in canonical
+    (lexicographic) order; `mis_masks` with its cap, relabelled."""
+    sets = mis_masks(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, cap)
     return sorted(tuple(sorted(g.labels[i] for i in _bits(m))) for m in sets)
 
 
-def count_independent(g: Graph) -> int:
-    """Number of independent sets of `g`, the empty set included; a loop
-    vertex joins none."""
-    return _independent(((1 << g.num_vertices) - 1) & ~g.loops_mask, g.nbr, {0: 1})
+def count_independent(nbr: Sequence[int], free: int) -> int:
+    """Number of independent sets of the graph `nbr` inside the vertex mask
+    `free`, the empty set included."""
+    return _independent(free, nbr, {0: 1})
 
 
-def _independent(c: int, nbr: tuple[int, ...], memo: dict[int, int]) -> int:
+def _independent(c: int, nbr: Sequence[int], memo: dict[int, int]) -> int:
     """i(c) = i(c - v) + i(c minus N[v]) for the lowest vertex v of the
-    index mask c, memoised on c.  Module level, not a closure over the memo,
-    so no reference cycle keeps a finished memo alive until the next GC."""
+    mask c, memoised on c.  Module level, not a closure over the memo, so
+    no reference cycle keeps a finished memo alive until the next GC."""
     hit = memo.get(c)
     if hit is None:
         low = c & -c
@@ -108,32 +114,16 @@ def _independent(c: int, nbr: tuple[int, ...], memo: dict[int, int]) -> int:
     return hit
 
 
-def _pivot(cand: int, excl: int, allowed: list[int]) -> int:
-    """Vertex of cand | excl whose closed non-neighbourhood in cand is
-    smallest; deterministic for reproducible enumeration order."""
-    pivot, best = -1, -1
-    mm = cand | excl
-    while mm:
-        low = mm & -mm
-        u = low.bit_length() - 1
-        mm ^= low
-        outside = (cand & ~allowed[u] & ~low).bit_count()
-        if pivot < 0 or outside < best:
-            pivot, best = u, outside
-    return pivot
-
-
-def _component_mis(g: Graph, leaf, dead_end, extend):
+def _component_mis(nbr: Sequence[int], leaf, dead_end, extend):
     """`rec`, with `rec(comp, 0)` the maximal independent sets of the
-    loop-free component `comp` (an index mask of `g`), folded: a maximal set
-    found contributes `leaf`, a dead end `dead_end`, and a branch on vertex
-    bit `low` maps a sub-result r to `extend(low, r)`; the branches add up.
-    Counting folds to (1, 0, r); listing index masks to ([0], [], [low | s
-    for s in r]).  Memoised on (candidates, excluded), which determines it."""
-    n = g.num_vertices
-    full = (1 << n) - 1
-    # allowed[v]: vertices that may still join an independent set with v
-    allowed = [full & ~g.nbr[i] & ~(1 << i) for i in range(n)]
+    loop-free component `comp` (a vertex mask) of the graph `nbr`, folded: a
+    maximal set found contributes `leaf`, a dead end `dead_end`, and a
+    branch on vertex bit `low` maps a sub-result r to `extend(low, r)`; the
+    branches add up.  Counting folds to (1, 0, r); listing vertex masks to
+    ([0], [], [low | s for s in r]).  Memoised on (candidates, excluded),
+    which determines it.  The branches are the candidates in the closed
+    neighbourhood of the pivot, the vertex of cand | excl with the fewest
+    neighbours in cand (the lowest on ties, for a reproducible order)."""
     memo: dict[tuple[int, int], object] = {}
 
     def rec(cand: int, excl: int):
@@ -143,14 +133,24 @@ def _component_mis(g: Graph, leaf, dead_end, extend):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        branch = cand & ~allowed[_pivot(cand, excl, allowed)]
+        best = -1
+        mm = cand | excl
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            k = (cand & nbr[low.bit_length() - 1]).bit_count()
+            if best < 0 or k < best:
+                pivot, best = low, k
+                if not k:
+                    break
+        branch = cand & (nbr[pivot.bit_length() - 1] | pivot)
         total = dead_end
         c, x = cand, excl
         while branch:
             low = branch & -branch
-            v = low.bit_length() - 1
             branch ^= low
-            total = total + extend(low, rec(c & allowed[v], x & allowed[v]))
+            near = nbr[low.bit_length() - 1]
+            total = total + extend(low, rec(c & ~near & ~low, x & ~near))
             c &= ~low
             x |= low
         memo[key] = total

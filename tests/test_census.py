@@ -28,6 +28,7 @@ from sumfree.census import (
     two_step_enumerate,
 )
 from sumfree.intset import (
+    GroundSet,
     IntSubset,
     is_maximal_sum_free,
     iter_mask,
@@ -217,6 +218,47 @@ def test_sum_free_subsets_of_non_interval(members):
     allowed = sum(1 << (x - 1) for x in members)
     got = sum_free_subsets_of(members)
     assert sorted(got) == sorted(m for m in _submasks(allowed) if mask_is_sum_free(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_sub_universe_walks_match_brute_force(args):
+    # maximality taken inside U: no element of U outside M can join M
+    n, universe = args
+    subsets = sum_free_subsets_of(iter_mask(universe))
+    sizes = [m.bit_count() for m in subsets]
+    want = [m for m in _submasks(universe) if mask_is_sum_free(m)]
+    assert len(subsets) == len(set(subsets)) and sorted(subsets) == sorted(want)
+    assert sizes == sorted(sizes)
+    out = []
+    census._walker(n, universe, out, maximal_only=True)(universe, 0, 0, 0)
+    assert sorted(out) == sorted(
+        m for m in want
+        if not any(mask_is_sum_free(m | 1 << (x - 1)) for x in iter_mask(universe & ~m))
+    )
+
+
+@st.composite
+def _two_parts(draw):
+    # disjoint F1, F2 in [n], F2 made sum-free greedily; F1 may lie above F2
+    n = draw(st.integers(1, 12))
+    side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    f1 = f2 = 0
+    for x, part in enumerate(side, 1):
+        if part == 1:
+            f1 |= 1 << (x - 1)
+        elif part == 2 and mask_is_sum_free(f2 | 1 << (x - 1)):
+            f2 |= 1 << (x - 1)
+    return n, f1, f2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_parts())
+def test_two_step_matches_brute_force(parts):
+    n, f1, f2 = parts
+    got = two_step_enumerate(IntSubset(GroundSet(n), f1), IntSubset(GroundSet(n), f2), n)
+    want = [m for m in _brute_maximal(n) if not m & ~(f1 | f2)]
+    assert [s.mask for s in got] == sorted(want, key=lambda m: tuple(iter_mask(m)))
 
 
 class _RecordingPool:

@@ -263,6 +263,40 @@ def test_sumset_census_command(capsys):
     assert code == 0 and json.loads(out)["count"] == "120"
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--r", "1e12"), "r = 1000000000000.0 must lie in [0, 3]"),
+        (("--r", "inf"), "r = inf must lie in [0, 3]"),
+        (("--r", "nan"), "r = nan must lie in [0, 3]"),
+        (("--r", "1e6"), "r = 1000000.0 must lie in [0, 3]"),
+        (("--r", "-1"), "r = -1.0 must lie in [0, 3]"),
+        (("--r", "2", "--delta", "inf"), "delta = inf must lie in [0, 1]"),
+        (("--r", "2", "--delta", "1e6"), "delta = 1000000.0 must lie in [0, 1]"),
+        (("--r", "2", "--delta", "-0.5"), "delta = -0.5 must lie in [0, 1]"),
+    ],
+)
+def test_sumset_census_rejects_large_or_non_finite_parameters(capsys, argv, reason):
+    code, out, err = invoke(capsys, "sumset-census", "--d", "5", "--s", "2", *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+def test_sumset_census_work_and_bound_limits(capsys):
+    # s(s+1)/2 sums per s-subset count towards the limit before C(d, s) does
+    code, out, err = invoke(
+        capsys, "sumset-census", "--d", str(10**18), "--s", str(10**9), "--r", "1")
+    assert code == 2 and out == "" and "exceed the census limit" in err
+    # one s-subset, but a bound near C(s^2/2, s) d^s is past any float
+    code, out, err = invoke(capsys, "sumset-census", "--d", "300", "--s", "300", "--r", "301")
+    assert (code, out, err) == (2, "", "error: the bound exceeds the float range\n")
+
+
+def test_graph_file_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "mis", "--graph", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "enumerate")[0] == 2  # missing --n

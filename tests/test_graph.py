@@ -140,11 +140,11 @@ def test_component_masks_match_reachability(g, within):
             return sum(1 << g.labels.index(u) for u in seen)
 
         want = sorted({reach(v) for v in keep}, key=lambda m: m & -m)
-        got = component_masks(g, mask) if mask != -1 else component_masks(g)
+        got = component_masks(g.nbr, mask) if mask != -1 else component_masks(g.nbr)
         assert got == want
     assert [c.labels for c in connected_components(g)] == [
         tuple(v for i, v in enumerate(g.labels) if m >> i & 1)
-        for m in component_masks(g)
+        for m in component_masks(g.nbr)
     ]
 
 

@@ -5,14 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfree.graph import is_triangle_free
 from sumfree.group import AbelianGroup, GroupSubset
-from sumfree.intset import mask_is_sum_free, unordered_schur
+from sumfree.intset import iter_mask, mask_is_sum_free, unordered_schur
 from sumfree.linkgraph import (
     link_family,
     link_graph_group,
     link_graph_ints,
+    link_masks,
     link_pair_even,
     link_single_even,
 )
@@ -72,6 +75,39 @@ def test_link_graph_ints_matches_definition():
                 or any(x == z - w > 0 for z in s for w in s)
             )
             assert bool(g.loops_mask >> i & 1) == loop, (s, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
+        )
+    )
+)
+def test_link_masks_match_schur_triples(args):
+    # element space, x at bit x - 1; S and B may overlap and S need not be
+    # sum-free
+    n, s_mask, b_mask = args
+    s = list(iter_mask(s_mask))
+    free, nbr = link_masks(s_mask, b_mask)
+    assert len(nbr) == b_mask.bit_length()
+    for x in range(1, len(nbr) + 1):
+        in_b = b_mask >> (x - 1) & 1
+        want = sum(
+            1 << (y - 1)
+            for y in iter_mask(b_mask)
+            if in_b and y != x and any(unordered_schur(x, y, z) for z in s)
+        )
+        assert nbr[x - 1] == want, (s, x)
+    loops = sum(
+        1 << (x - 1)
+        for x in iter_mask(b_mask)
+        if 2 * x in s
+        or any(x == z + w for z in s for w in s)
+        or any(x == z - w for z in s for w in s)
+    )
+    assert free == b_mask & ~loops, s
 
 
 @pytest.mark.parametrize("desc", ["Z2xZ4", "Z9"])
