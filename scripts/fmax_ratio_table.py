@@ -5,7 +5,8 @@ The ratio sequences stabilise per residue class mod 4; their limits exist
 but are not reproducible at desk scale, so this script only reports the
 finite values, cross-checking the branch route (the two-step count of f
 and the pruned walk for f_max) against the oracle for every
-n <= ORACLE_MAX_N.
+n <= ORACLE_MAX_N.  It exits 1, naming the row, if the routes disagree or
+if some f_max(n) falls below the Cameron-Erdos lower bound 2^{floor(n/4)}.
 
 Usage: python scripts/fmax_ratio_table.py [--n-max 28] [--workers 4] [--csv]
 """
@@ -33,6 +34,10 @@ def main() -> int:
         t0 = time.perf_counter()
         f, fmax = branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - t0) * 1000
+        if fmax < 2 ** (n // 4):
+            print(f"n = {n}: f = {f}, f_max = {fmax} is below the Cameron-Erdos "
+                  f"bound 2^{n // 4}", file=sys.stderr)
+            return 1
         if n <= ORACLE_MAX_N and (f, fmax) != (want := oracle_counts(n)):
             print(f"n = {n}: branch route gives {(f, fmax)}, oracle {want}",
                   file=sys.stderr)

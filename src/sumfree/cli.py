@@ -99,11 +99,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=("ce-odd", "interval", "z2k", "zn-prism", "index3", "exponent7"),
+        choices=tuple(_FAMILIES),
     )
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--group", dest="group_desc")
+    p.add_argument("--group", metavar="GROUP_DESC")
 
     p = sub.add_parser("group", help="abelian group computations", parents=[common])
     p.add_argument("--desc", required=True, help='group descriptor, e.g. "Z4xZ2xZ2"')
@@ -143,8 +143,7 @@ def _family_graph(spec: str) -> Graph:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= ENUMERATE_MAX_N:
-        print(f"n must lie in [1, {ENUMERATE_MAX_N}]", file=sys.stderr)
-        return 2
+        raise ValueError(f"n must lie in [1, {ENUMERATE_MAX_N}]")
     method = "oracle" if args.oracle else "branch"
     params = {"n": n, "method": method}
     payload = (
@@ -203,45 +202,37 @@ def _cmd_link(args: argparse.Namespace) -> int:
         s = [int(v) for v in args.s.split(",")] if args.s else []
         g = link_family(args.n, args.m, s)
     else:
-        print("link needs --m or --even", file=sys.stderr)
-        return 2
+        raise ValueError("link needs --m or --even")
     sys.stdout.write(to_text(g))
     return 0
 
 
+# family -> (the option it needs, what builds it from that option's value)
+_FAMILIES = {
+    "ce-odd": ("n", constructions.ce_odd_family),
+    "interval": ("n", constructions.interval_family),
+    "z2k": ("k", constructions.z2k_family),
+    "zn-prism": ("n", constructions.zn_prism_census),
+    "index3": ("group", lambda d: constructions.index3_family(AbelianGroup.parse(d))),
+    "exponent7": ("group", lambda d: constructions.exponent7_family(AbelianGroup.parse(d))),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam in ("ce-odd", "interval", "zn-prism") and args.n is None:
-        print(f"{fam} needs --n", file=sys.stderr)
-        return 2
-    if fam == "ce-odd":
-        family = constructions.ce_odd_family(args.n)
-    elif fam == "interval":
-        family = constructions.interval_family(args.n)
-    elif fam == "z2k":
-        if args.k is None:
-            print("z2k needs --k", file=sys.stderr)
-            return 2
-        family = constructions.z2k_family(args.k)
-    elif fam == "zn-prism":
-        census_ = constructions.zn_prism_census(args.n)
+    option, build = _FAMILIES[args.family]
+    value = getattr(args, option)
+    if value is None:
+        raise ValueError(f"{args.family} needs --{option}")
+    family = build(value)
+    if isinstance(family, constructions.PrismCensus):
         _emit(json.dumps({
-            "n": census_.n,
-            "window": census_.window_size,
-            "prism_components": census_.prism_components,
-            "other_components": census_.other_components,
-            "mis": str(census_.mis),
+            "n": family.n,
+            "window": family.window_size,
+            "prism_components": family.prism_components,
+            "other_components": family.other_components,
+            "mis": str(family.mis),
         }, sort_keys=True))
         return 0
-    else:
-        if not args.group_desc:
-            print(f"{fam} needs --group", file=sys.stderr)
-            return 2
-        grp = AbelianGroup.parse(args.group_desc)
-        if fam == "index3":
-            family = constructions.index3_family(grp)
-        else:
-            family = constructions.exponent7_family(grp)
     problems = constructions.verify_family(family)
     if problems:
         for pr in problems:

@@ -1,35 +1,40 @@
 """Generators for the lower-bound families of sum-free sets.
 
-Each generator returns a `Family`: a list of sum-free sets together with a
-window, a region in which no member can be extended.  Distinct members of a
-family therefore saturate the window differently and must close up to
-distinct maximal sum-free sets, so the family size is a lower bound for the
-number of maximal sum-free sets of the ground structure.  `verify_family`
-re-checks both properties exhaustively.
+Every family is one recipe: an anchor x and a window W give the members
+{x} + I for each maximal independent set I of the link graph of {x} on W
+(`link_graph_ints` over [n], `link_graph_group` over a group).  The window
+is the graph's vertex set, so members differ only inside it and none can
+be extended there; distinct members therefore close up to distinct maximal
+sum-free sets, and the family size is a lower bound for the number of
+maximal sum-free sets.  `verify_family` re-checks both properties by the
+definition, independently of the MIS listing.
 
-Families implemented:
+Families implemented (anchor; window; claimed size):
 
-* pair selection below an even anchor m (n or n-1): pick m plus one number
-  from each pair {x, m - x} for odd x < m/2; no unused odd number below m
-  can be added.  Gives 2^{floor(n/4)} members.
-* interval selection for 4 | n: pick n/4, a set S' in the top quarter
-  interval, and the n/4-shifted complement in the third quarter; no further
-  element of the top quarter can be added.  Gives exactly 2^{n/4} members.
-* Z_2^k: one endpoint of each edge of the perfect matching that a
-  coordinate vector induces on the opposite half.  Gives 2^{n/4} members.
-* Z_n prism window: the link graph of {k, n-2k} on [3k+1, 6k] decomposes
-  into triangular prisms (6 maximal independent sets each) plus O(1)
-  exceptional components.
-* index-3 subgroup (odd order, 3 | n): a near-perfect matching with loops
-  on one coset; 2^{(n-9)/6} extensions.
-* exponent-7 groups: a perfect matching between two cosets with one loop;
-  exactly 2^{n/7 - 1} extensions.
+* pair selection: the even anchor m = n or n - 1; the odd numbers below m,
+  where the link graph pairs x with m - x (with a loop at m/2 if odd);
+  2^{floor(n/4)} members.
+* interval selection for 4 | n: n/4; (n/2, n], a perfect matching
+  x ~ x + n/4; exactly 2^{n/4} members.
+* Z_2^k: (0, 1, 0, ..., 0); the half with first coordinate 1, a perfect
+  matching g ~ g + x; 2^{2^{k-2}} = 2^{n/4} members.
+* index-3 (odd order, 3 | n): the least a in coset 2; coset 1, where
+  x ~ a - x with loops at a/2 and 2a.  Cosets are taken on the first axis
+  divisible by 3: if its order is at least 9, -a is forced and there are
+  2^{(n-9)/6} members; if it is Z_3, a/2 = 2a and there are 2^{(n-3)/6}
+  (Z15 gives 2, Z3xZ5 gives 4).  The claimed size is the MIS count.
+* exponent-7 groups: the least element of coset 1; cosets 2 and 3, a perfect
+  matching with one loop; exactly 2^{n/7 - 1} members.
+
+The Z_n prism census is not a family: the link graph of {k, n-2k} on
+[3k+1, 6k] decomposes into triangular prisms (6 maximal independent sets
+each) plus O(1) exceptional components, and `zn_prism_census` counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .graph import Graph, are_isomorphic, connected_components, prism
 from .group import (
@@ -40,7 +45,7 @@ from .group import (
     is_sum_free_group,
 )
 from .intset import IntSubset, is_sum_free, mask_is_sum_free
-from .linkgraph import link_graph_group
+from .linkgraph import link_graph_group, link_graph_ints
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 # with verify_family on a 2-core Intel Xeon: ce-odd at n = 56 (2^14 members)
@@ -72,7 +77,7 @@ def verify_family(fam: Family) -> list[str]:
         problems.append(
             f"{fam.ground}: {len(fam.members)} members, claimed {fam.claimed_size}"
         )
-    if len(set(_key(m) for m in fam.members)) != len(fam.members):
+    if len(set(fam.members)) != len(fam.members):
         problems.append(f"{fam.ground}: duplicate members")
     for member in fam.members:
         if isinstance(member, IntSubset):
@@ -111,10 +116,26 @@ def _bound(log2_members: int = 0, order: int = 0) -> None:
         )
 
 
-def _key(member: Union[IntSubset, GroupSubset]):
-    if isinstance(member, IntSubset):
-        return ("int", member.mask)
-    return ("group", tuple(sorted(member.members)))
+def _int_family(n: int, anchor: int, window: range, size: int) -> Family:
+    """{anchor} joined with each maximal independent set of its link graph
+    on `window`, a set of integers in [n]."""
+    link = link_graph_ints({anchor}, window)
+    members = [IntSubset.of(n, (anchor, *ind)) for ind in enumerate_mis(link)]
+    return Family(f"n={n}", tuple(members), IntSubset.of(n, window), size)
+
+
+def _group_family(
+    group: AbelianGroup, anchor: GroupElem, window: GroupSubset, size: Optional[int] = None
+) -> Family:
+    """{anchor} joined with each maximal independent set of its link graph
+    on `window`; `size` defaults to the MIS count of that graph."""
+    link = link_graph_group(group, GroupSubset.of(group, {anchor}), window)
+    members = [
+        GroupSubset.of(group, {anchor, *map(group.from_index, ind)})
+        for ind in enumerate_mis(link)
+    ]
+    return Family(group.describe(), tuple(members), window,
+                  count_mis(link) if size is None else size)
 
 
 def ce_odd_family(n: int) -> Family:
@@ -123,15 +144,7 @@ def ce_odd_family(n: int) -> Family:
         raise FamilyError("need n >= 4")
     m = n if n % 2 == 0 else n - 1
     _bound(m // 4)  # one pair per odd x < m/2
-    pairs = [(x, m - x) for x in range(1, (m + 1) // 2, 2) if x < m / 2]
-    members = []
-    for pick in range(1 << len(pairs)):
-        chosen = {m}
-        for i, (a, b) in enumerate(pairs):
-            chosen.add(a if pick >> i & 1 else b)
-        members.append(IntSubset.of(n, chosen))
-    window = IntSubset.of(n, [x for x in range(1, m, 2)])
-    return Family(f"n={n}", tuple(members), window, 1 << len(pairs))
+    return _int_family(n, m, range(1, m, 2), 2 ** (n // 4))
 
 
 def interval_family(n: int) -> Family:
@@ -140,14 +153,7 @@ def interval_family(n: int) -> Family:
         raise FamilyError("interval family needs 4 | n")
     q = n // 4
     _bound(q)
-    top = list(range(3 * q + 1, n + 1))
-    members = []
-    for pick in range(1 << len(top)):
-        s_prime = {x for i, x in enumerate(top) if pick >> i & 1}
-        chosen = {q} | s_prime | {x - q for x in top if x not in s_prime}
-        members.append(IntSubset.of(n, chosen))
-    window = IntSubset.of(n, top)
-    return Family(f"n={n}", tuple(members), window, 1 << len(top))
+    return _int_family(n, q, range(2 * q + 1, n + 1), 2**q)
 
 
 def z2k_family(k: int) -> Family:
@@ -156,26 +162,8 @@ def z2k_family(k: int) -> Family:
         raise FamilyError("need k >= 2")
     _bound(1 << min(k - 2, 64))  # 2^{k-2} edges; 2^64 is past any limit
     grp = AbelianGroup((2,) * k)
-    x = tuple([0, 1] + [0] * (k - 2))
-    half = [g for g in grp.elements() if g[0] == 1]
-    # the link graph of x on the half is a perfect matching g ~ g + x
-    edges = []
-    seen = set()
-    for g in half:
-        if g in seen:
-            continue
-        partner = grp.add(g, x)
-        seen.add(g)
-        seen.add(partner)
-        edges.append((g, partner))
-    members = []
-    for pick in range(1 << len(edges)):
-        chosen = {x}
-        for i, (a, b) in enumerate(edges):
-            chosen.add(a if pick >> i & 1 else b)
-        members.append(GroupSubset.of(grp, chosen))
-    window = GroupSubset.of(grp, half)
-    return Family(grp.describe(), tuple(members), window, 1 << len(edges))
+    half = GroupSubset.of(grp, [g for g in grp.elements() if g[0] == 1])
+    return _group_family(grp, (0, 1) + (0,) * (k - 2), half, 2 ** 2 ** (k - 2))
 
 
 @dataclass(frozen=True)
@@ -213,17 +201,6 @@ def zn_prism_census(n: int) -> PrismCensus:
     )
 
 
-def _link_family(group: AbelianGroup, x: GroupElem, window: GroupSubset) -> Family:
-    """{x} joined with each maximal independent set of the link graph of x
-    on `window`."""
-    link = link_graph_group(group, GroupSubset.of(group, {x}), window)
-    members = [
-        GroupSubset.of(group, {x} | {group.from_index(i) for i in ind})
-        for ind in enumerate_mis(link)
-    ]
-    return Family(group.describe(), tuple(members), window, count_mis(link))
-
-
 def index3_family(group: AbelianGroup) -> Family:
     """Matching-with-loops construction on an index-3 coset; requires odd
     order divisible by 3."""
@@ -232,7 +209,7 @@ def index3_family(group: AbelianGroup) -> Family:
     if n % 3 or n % 2 == 0:
         raise FamilyError("need odd order divisible by 3")
     cosets = coset_partition(group, 3)
-    return _link_family(group, min(cosets[2].members), cosets[1])
+    return _group_family(group, min(cosets[2].members), cosets[1])
 
 
 def exponent7_family(group: AbelianGroup) -> Family:
@@ -243,4 +220,5 @@ def exponent7_family(group: AbelianGroup) -> Family:
         raise FamilyError("need exponent 7")
     cosets = coset_partition(group, 7)
     window = GroupSubset.of(group, cosets[2].members | cosets[3].members)
-    return _link_family(group, min(cosets[1].members), window)
+    return _group_family(group, min(cosets[1].members), window,
+                         2 ** (group.order // 7 - 1))

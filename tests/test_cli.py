@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -214,11 +215,27 @@ def test_construct_families(capsys):
     code, out, _ = invoke(capsys, "construct", "--family", "interval", "--n", "8")
     assert code == 0
     members = [json.loads(line) for line in out.strip().splitlines()]
-    assert sorted(members) == [[2, 5, 6], [2, 5, 8], [2, 6, 7], [2, 7, 8]]
+    assert members == [[2, 5, 6], [2, 5, 8], [2, 6, 7], [2, 7, 8]]
+    code, out, _ = invoke(capsys, "construct", "--family", "ce-odd", "--n", "9")
+    assert (code, out) == (0, "[1, 3, 8]\n[1, 5, 8]\n[3, 7, 8]\n[5, 7, 8]\n")
     code, out, _ = invoke(capsys, "construct", "--family", "z2k", "--k", "3")
     assert code == 0 and len(out.strip().splitlines()) == 4
     code, out, _ = invoke(capsys, "construct", "--family", "zn-prism", "--n", "27")
     assert json.loads(out)["prism_components"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "ce-odd", "--n", "19"],
+    ["--family", "interval", "--n", "16"],
+    ["--family", "z2k", "--k", "4"],
+    ["--family", "index3", "--group", "Z3xZ9"],
+    ["--family", "exponent7", "--group", "Z7xZ7"],
+])
+def test_construct_prints_members_in_sorted_order(capsys, argv):
+    code, out, err = invoke(capsys, "construct", *argv)
+    assert (code, err) == (0, "")
+    members = [json.loads(line) for line in out.splitlines()]
+    assert len(members) > 4 and members == sorted(members)
 
 
 def test_verify_single_check(capsys):
@@ -303,14 +320,18 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "enumerate", "--n", "80")[0] == 2  # beyond ENUMERATE_MAX_N
     code, _, err = invoke(capsys, "group", "--desc", "K4", "--op", "mu")
     assert code == 2 and "error" in err
-    code, _, err = invoke(capsys, "construct", "--family", "z2k", "--n", "8")
-    assert code == 2
+    code, out, err = invoke(capsys, "construct", "--family", "z2k", "--n", "8")
+    assert (code, out, err) == (2, "", "error: z2k needs --k\n")
+    code, out, err = invoke(capsys, "construct", "--family", "index3")
+    assert (code, out, err) == (2, "", "error: index3 needs --group\n")
+    code, out, err = invoke(capsys, "link", "--n", "12")
+    assert (code, out, err) == (2, "", "error: link needs --m or --even\n")
 
 
 def test_enumerate_work_limit_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, "enumerate", "--n", str(ENUMERATE_MAX_N + 1))
     assert (code, out) == (2, "")
-    assert err == f"n must lie in [1, {ENUMERATE_MAX_N}]\n"
+    assert err == f"error: n must lie in [1, {ENUMERATE_MAX_N}]\n"
 
 
 def test_bad_workers_is_a_usage_error(capsys):
@@ -346,7 +367,8 @@ class _Unbuilt:
 
 @pytest.fixture()
 def nothing_built(monkeypatch):
-    for name in ("IntSubset", "GroupSubset", "link_graph_group", "coset_partition"):
+    for name in ("IntSubset", "GroupSubset", "link_graph_ints", "link_graph_group",
+                 "enumerate_mis", "coset_partition"):
         monkeypatch.setattr(constructions, name, _Unbuilt())
 
 
@@ -505,3 +527,19 @@ def test_scripts_run():
     assert [int(r[0]) for r in rows] == list(range(8, 13))
     # limit column: 3, 3 * 2^(-1/4), 2^(3/2), 2^(5/4) by n mod 4
     assert [r[6] for r in rows] == ["3.0000", "2.5227", "2.8284", "2.3784", "3.0000"]
+
+
+def test_ratio_table_checks_the_cameron_erdos_bound(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "fmax_ratio_table", SCRIPTS / "fmax_ratio_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = script.branch_counts
+    # f_max(8) = 13 against 2^2; report 3 there
+    monkeypatch.setattr(script, "branch_counts", lambda n, workers: (
+        (real(n, workers)[0], 3) if n == 8 else real(n, workers)))
+    monkeypatch.setattr(sys, "argv", ["fmax_ratio_table.py", "--n-max", "10"])
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "n = 8: f = 61, f_max = 3 is below the Cameron-Erdos bound 2^2\n"
