@@ -3,10 +3,12 @@
 
 The ratio sequences stabilise per residue class mod 4; their limits exist
 but are not reproducible at desk scale, so this script only reports the
-finite values, cross-checking the branch route (the two-step count of f
-and the pruned walk for f_max) against the oracle for every
-n <= ORACLE_MAX_N.  It exits 1, naming the row, if the routes disagree or
-if some f_max(n) falls below the Cameron-Erdos lower bound 2^{floor(n/4)}.
+finite values, cross-checking the branch route (the two-step count of f,
+and for f_max the maximal independent sets of each seed's link graph that
+block every lower element the seed leaves open) against the oracle for
+every n <= ORACLE_MAX_N.  It exits 1, naming the row, if the routes
+disagree or if some f_max(n) falls below the Cameron-Erdos lower bound
+2^{floor(n/4)}.
 
 Usage: python scripts/fmax_ratio_table.py [--n-max 28] [--workers 4] [--csv]
 """

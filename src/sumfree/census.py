@@ -10,11 +10,15 @@ Two independent routes are provided and cross-checked:
   then one binary search per element of [n].
 * branch: one pass over the sum-free seeds S = M ∩ [n/2], which scales past
   the oracle's n = 36.  A seed's share of f is the number of independent
-  sets of its link graph on the upper half; its share of f_max comes from
-  the prefix-tree walk below S, which keeps each node's blocked mask (sums,
-  differences and halves) so a childless node is maximal iff one AND comes
-  out empty, and cuts every subtree where an open element can no longer be
-  blocked.  Chunks of seeds are the tasks of a process pool.
+  sets of its link graph on the upper half; its share of f_max is the
+  number of maximal independent sets of that graph which also block every
+  lower element S leaves open.  Chunks of seeds are the tasks of a process
+  pool.
+
+The prefix-tree walk keeps each node's blocked mask (sums, differences,
+halves), so a childless node is maximal iff one AND comes out empty, and it
+cuts subtrees where an open element can no longer be blocked.  It lists the
+maximal sets and the seeds, and cross-checks the branch route's f_max.
 
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
@@ -103,18 +107,17 @@ def f_max_oracle(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# branch route: prefix tree over sum-free sets only
+# the prefix-tree walk over sum-free sets, and the branch route's seed counts
 # ---------------------------------------------------------------------------
 
 # A walk node is a sum-free set S grown in increasing order, carried as
 # (cand, mask, blocked, rev).  cand: its children, allowed elements above
-# max S (from a seed in [n/2], in (n/2, n]) not in S+S, as a + b = y is the
-# only Schur triple a new maximum y can complete.  blocked: S+S, the
-# differences and the halves of S, equal to intset.mask_blocked(mask).  rev:
-# S reversed (element s at bit n - s), so a new maximum x adds differences
-# rev >> (n+1-x).
+# max S not in S+S, as a + b = y is the only Schur triple a new maximum y
+# can complete.  blocked: S+S, the differences and the halves of S, equal to
+# intset.mask_blocked(mask).  rev: S reversed (element s at bit n - s), so a
+# new maximum x adds differences rev >> (n+1-x).
 
-_CHUNKS_PER_WORKER = 16  # the heaviest chunk then holds a few percent of the walk
+_CHUNKS_PER_WORKER = 16  # the heaviest then lists 4.7% of the MISs at n = 24
 
 
 def _walker(
@@ -134,8 +137,11 @@ def _walker(
     that holds no maximal set, as a node counting 1: an open y (in the
     universe, not in S, blocked or cand) lies below every later element, so
     only a z in cand with z = 2y or z - y in S | cand can block it, and when
-    no z is, no set below the node is maximal.  From a seed the open y
-    include the unblocked elements of (max S, n/2].
+    no z is, no set below the node is maximal.
+
+    Started at a seed S in [n/2] with cand in (n/2, n] (the open y then
+    include the unblocked elements of (max S, n/2]), it gives the seed's
+    share of f_max by a route other than `_seed_counts`; the tests compare.
     """
     top = n + 1
     halves = [0 if x % 2 else 1 << x // 2 >> 1 for x in range(top)]  # bit of x/2
@@ -180,18 +186,23 @@ def _walker(
 def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     """(f, f_max) over the sets of [n] whose part in [n/2] is in `seeds`.
     The upper half is sum-free, so S | I is sum-free iff I is independent in
-    S's link graph there; the walk starts at S with the upper half, where S
-    blocks only S+S, as cand."""
+    S's link graph there.  Two upper elements never block a third (their
+    sum passes n, their difference falls below n/2), so S | I is maximal
+    iff I is a maximal independent set that also blocks every open y, a
+    lower element S neither holds nor blocks: I meets (S | {y}) + y (some
+    i - y in S, or i = 2y), or two members of I differ by y."""
     half = n // 2
     upper = (1 << n) - 1 >> half << half
-    walk = _walker(n, (1 << n) - 1, maximal_only=True)
     f = f_max = 0
     for seed in seeds:
         free, nbr = link_masks(seed, upper)
         f += count_independent(nbr, free)
-        blocked = mask_blocked(seed)
-        rev = sum(1 << (n - s) for s in iter_mask(seed))
-        f_max += walk(upper & ~blocked, seed, blocked, rev)[1]
+        opened = (1 << half) - 1 & ~seed & ~mask_blocked(seed)
+        targets = [(y, (seed | 1 << y - 1) << y) for y in iter_mask(opened)]
+        f_max += sum(
+            all(ind & hit or ind & ind >> y for y, hit in targets)
+            for ind in mis_masks(nbr, free)
+        )
     return f, f_max
 
 
@@ -218,7 +229,8 @@ def f_branch(n: int, workers: int = 1) -> int:
 
 
 def f_max_branch(n: int, workers: int = 1) -> int:
-    """f_max(n) by the branch route's pruned walk."""
+    """f_max(n) by the branch route's maximal independent sets of the seeds'
+    link graphs."""
     return branch_counts(n, workers)[1]
 
 
@@ -263,6 +275,12 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
+
+    Each union is re-tested for maximality by the definition: the open
+    element test of `_seed_counts` is exact only for the halves split, and
+    for general parts (F1 may lie above F2, [n] may hold elements of
+    neither) two members of F2 can also block an element by their sum.
+    Kept definitional, the listing also checks the branch route's count.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
@@ -367,8 +385,10 @@ class SumsetCensus:
     delta: float
 
 
+# limit: 1.4e6 (s = 1) to 1.4e7 (s = 6) pair sums a second on a 2-core Intel
+# Xeon, Python 3.11.7, so a run within it ends in about 10 s (10.0 s at s = 1)
 def small_sumset_count(
-    d: int, s: int, r, delta: float = 1 / 9, limit: int = 10**8
+    d: int, s: int, r, delta: float = 1 / 9, limit: int = 14 * 10**6
 ) -> SumsetCensus:
     """Exact census of s-subsets of [d] with sumset at most r*s, next to the
     corresponding counting bound (informational: the bound's validity

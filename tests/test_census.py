@@ -35,7 +35,8 @@ from sumfree.intset import (
     mask_blocked,
     mask_is_sum_free,
 )
-from sumfree.mis import EnumerationLimitError
+from sumfree.linkgraph import link_masks
+from sumfree.mis import EnumerationLimitError, mis_masks
 
 # frozen by running the oracle
 F_VALUES = [2, 3, 6, 9, 16, 24, 42, 61, 108, 151, 253, 369, 607, 847]
@@ -197,6 +198,17 @@ def test_seed_counts_match_brute_force():
             assert census._seed_counts(n, [seed]) == want, (n, seed)
 
 
+def test_seed_f_max_matches_the_walk_from_each_seed():
+    # each seed's share of f_max, from the maximal independent sets of its
+    # link graph, is the pruned walk's from the seed node, for n past the
+    # reach of the brute force
+    for n in range(1, 27):
+        walk = census._walker(n, (1 << n) - 1, maximal_only=True)
+        for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
+            want = walk(*_seed_node(n, seed))[1]
+            assert census._seed_counts(n, [seed])[1] == want, (n, seed)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 22))
 def test_routes_agree(n):
@@ -281,23 +293,28 @@ class _RecordingPool:
         return map(fn, _RecordingPool.tasks)
 
 
+def _upper_mis_count(n, seed):
+    # the maximal independent sets `_seed_counts` lists for one seed
+    free, nbr = link_masks(seed, (1 << n) - (1 << n // 2))
+    return len(mis_masks(nbr, free))
+
+
 def test_split_balance(monkeypatch):
     # the pool's tasks are chunks of seeds that together give f(24) and
-    # f_max(24), and no chunk holds more than an eighth of the nodes the
-    # pruned walk visits below the seeds
+    # f_max(24), and no chunk lists more than an eighth of the maximal
+    # independent sets of the seeds' link graphs on the upper half
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     n = 24
     assert branch_counts(n, workers=2) == (45417, 1043)
     chunks = _RecordingPool.tasks
-    pruned = census._walker(n, (1 << n) - 1, maximal_only=True)
-    nodes = [sum(pruned(*_seed_node(n, s))[0] for s in chunk) for chunk in chunks]
+    listed = [sum(_upper_mis_count(n, s) for s in chunk) for chunk in chunks]
     assert len(chunks) >= 16
     assert sorted(s for chunk in chunks for s in chunk) == sorted(
         sum_free_subsets_of(range(1, n // 2 + 1))
     )
-    assert 8 * max(nodes) <= sum(nodes)
+    assert 8 * max(listed) <= sum(listed)
 
 
 def test_enumeration_examples():

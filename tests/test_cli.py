@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,12 @@ def test_sumset_census_work_and_bound_limits(capsys):
     # s(s+1)/2 sums per s-subset count towards the limit before C(d, s) does
     code, out, err = invoke(
         capsys, "sumset-census", "--d", str(10**18), "--s", str(10**9), "--r", "1")
+    assert code == 2 and out == "" and "exceed the census limit" in err
+    # 1e8 one-element sets: refused before the first one, not minutes later
+    started = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "sumset-census", "--d", str(10**8), "--s", "1", "--r", "1")
+    assert time.perf_counter() - started < 1
     assert code == 2 and out == "" and "exceed the census limit" in err
     # one s-subset, but a bound near C(s^2/2, s) d^s is past any float
     code, out, err = invoke(capsys, "sumset-census", "--d", "300", "--s", "300", "--r", "301")
