@@ -9,11 +9,10 @@ Two independent routes are provided and cross-checked:
   one concatenation per x, x = n down to 1, grow the array; maximality is
   then one binary search per element of [n].
 * branch: one pass over the sum-free seeds S = M ∩ [n/2], which scales past
-  the oracle's n = 36.  A seed's share of f is the number of independent
-  sets of its link graph on the upper half; its share of f_max is the
-  number of maximal independent sets of that graph which also block every
-  lower element S leaves open.  Chunks of seeds are the tasks of a process
-  pool.
+  the oracle's n = 36.  A seed's share of f counts the independent sets of
+  its link graph on the upper half, its share of f_max (in one pruned
+  search, none listed) the maximal ones that also block every lower element
+  S leaves open.  Chunks of seeds are the tasks of a process pool.
 
 The prefix-tree walk keeps each node's blocked mask (sums, differences,
 halves), so a childless node is maximal iff one AND comes out empty, and it
@@ -45,7 +44,8 @@ from .intset import (
     mask_is_sum_free,
 )
 from .linkgraph import link_masks, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, count_independent, count_mis, mis_masks
+from .mis import (EnumerationLimitError, count_covering_mis, count_independent,
+                  count_mis, mis_masks)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,7 +117,7 @@ def f_max_oracle(n: int) -> int:
 # intset.mask_blocked(mask).  rev: S reversed (element s at bit n - s), so a
 # new maximum x adds differences rev >> (n+1-x).
 
-_CHUNKS_PER_WORKER = 16  # the heaviest then lists 4.7% of the MISs at n = 24
+_CHUNKS_PER_WORKER = 16  # the heaviest then holds 4.7% of the MISs at n = 24
 
 
 def _walker(
@@ -190,7 +190,8 @@ def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     sum passes n, their difference falls below n/2), so S | I is maximal
     iff I is a maximal independent set that also blocks every open y, a
     lower element S neither holds nor blocks: I meets (S | {y}) + y (some
-    i - y in S, or i = 2y), or two members of I differ by y."""
+    i - y in S, or i = 2y), or two members of I differ by y: the cover
+    `count_covering_mis` prunes its search with, so no I is listed."""
     half = n // 2
     upper = (1 << n) - 1 >> half << half
     f = f_max = 0
@@ -198,11 +199,8 @@ def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
         free, nbr = link_masks(seed, upper)
         f += count_independent(nbr, free)
         opened = (1 << half) - 1 & ~seed & ~mask_blocked(seed)
-        targets = [(y, (seed | 1 << y - 1) << y) for y in iter_mask(opened)]
-        f_max += sum(
-            all(ind & hit or ind & ind >> y for y, hit in targets)
-            for ind in mis_masks(nbr, free)
-        )
+        cover = [(y, (seed | 1 << y - 1) << y) for y in iter_mask(opened)]
+        f_max += count_covering_mis(nbr, free, cover)
     return f, f_max
 
 

@@ -36,9 +36,9 @@ from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
 
 # the branch route with 2 workers on a 2-core Intel Xeon (Python 3.11.7):
-# 181 s at n = 64 and 430 s at n = 67, about 1.34x per +1 there, so n = 68
-# extrapolates to about 575 s, too close to 600 s, and n = 69 ran past 660 s
-ENUMERATE_MAX_N = 67
+# 202 s at n = 67 and 422 s at n = 70, about 1.28x per +1 there, so n = 71
+# extrapolates to about 540 s, too close to 600 s
+ENUMERATE_MAX_N = 70
 MAX_WORKERS = 64  # each a whole interpreter process, and a pool may start all at once
 # value types of the record `enumerate` prints and caches
 _RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}

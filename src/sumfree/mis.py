@@ -16,10 +16,12 @@ Tomita-Tanaka-Takahashi pivot branches over a closed neighbourhood, which
 keeps the branch factor at degree + 1 on the sparse structured graphs this
 package produces.
 
-Listing counts first and refuses past its cap (unless the 3^{n/3} bound
-already keeps it under), then runs the same memoised recursion with lists of
-sets in place of counts.  `enumerate_mis` returns label tuples in canonical
-order (lexicographic on sorted vertex labels).
+The recursion also carries the chosen set, so it can count only the sets
+that meet a cover (see `count_covering_mis`), dropping a branch once no set
+below it can.  Listing refuses past its cap (unless the 3^{n/3} bound
+already keeps it under) and appends the chosen set at each maximal leaf of
+the unmemoised recursion.  `enumerate_mis` returns label tuples in
+canonical order (lexicographic on sorted vertex labels).
 """
 
 from __future__ import annotations
@@ -48,19 +50,23 @@ class EnumerationLimitError(RuntimeError):
 _VERTEX_LIMIT = 80  # loop-free vertices counted or listed
 
 
-def _components(nbr: Sequence[int], free: int, limit: int = _VERTEX_LIMIT) -> list[int]:
-    """Masks of the components of `free`, refused past `limit` vertices."""
+def count_mis(g: Graph, limit: int = _VERTEX_LIMIT) -> int:
+    """Exact number of maximal independent sets of `g`."""
+    return count_covering_mis(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, limit=limit)
+
+
+def count_covering_mis(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
+                       limit: int = _VERTEX_LIMIT) -> int:
+    """Number of maximal independent sets I of `nbr` on the vertex mask `free`
+    with I & hit or I & I >> shift for each (shift, hit) in `cover`.  A pair
+    can join components, so only a plain count multiplies theirs."""
     if free.bit_count() > limit:
         raise EnumerationLimitError(
             f"{free.bit_count()} loop-free vertices exceeds the limit {limit}")
-    return component_masks(nbr, free)
-
-
-def count_mis(g: Graph, limit: int = _VERTEX_LIMIT) -> int:
-    """Exact number of maximal independent sets of `g`."""
-    comps = _components(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, limit)
-    count = _component_mis(g.nbr, 1, 0, lambda low, r: r)
-    return math.prod(count(comp, 0) for comp in comps)
+    if cover:
+        return _search(nbr, cover)(free, 0, 0)
+    rec = _search(nbr)
+    return math.prod(rec(comp, 0, 0) for comp in component_masks(nbr, free))
 
 
 def mis_masks(nbr: Sequence[int], free: int, cap: int = 1_000_000) -> list[int]:
@@ -68,20 +74,11 @@ def mis_masks(nbr: Sequence[int], free: int, cap: int = 1_000_000) -> list[int]:
     vertex mask `free`, as vertex masks in no set order.  Raises before
     listing if there are more than `cap`, so memory stays bounded by the
     output."""
-    comps = _components(nbr, free)
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
-    if 3 ** sum(c.bit_count() for c in comps) > cap**3:
-        count = _component_mis(nbr, 1, 0, lambda low, r: r)
-        if math.prod(count(comp, 0) for comp in comps) > cap:
-            raise EnumerationLimitError(f"more than {cap} maximal independent sets")
-
-    def extend(low: int, found: list[int]) -> list[int]:
-        return [low | s for s in found]
-
-    listing = _component_mis(nbr, [0], [], extend)
-    sets = [0]
-    for comp in comps:
-        sets = [s | c for s in sets for c in listing(comp, 0)]
+    if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free) > cap:
+        raise EnumerationLimitError(f"more than {cap} maximal independent sets")
+    sets: list[int] = []
+    _search(nbr, out=sets)(free, 0, 0)
     return sets
 
 
@@ -114,25 +111,32 @@ def _independent(c: int, nbr: Sequence[int], memo: dict[int, int]) -> int:
     return hit
 
 
-def _component_mis(nbr: Sequence[int], leaf, dead_end, extend):
-    """`rec`, with `rec(comp, 0)` the maximal independent sets of the
-    loop-free component `comp` (a vertex mask) of the graph `nbr`, folded: a
-    maximal set found contributes `leaf`, a dead end `dead_end`, and a
-    branch on vertex bit `low` maps a sub-result r to `extend(low, r)`; the
-    branches add up.  Counting folds to (1, 0, r); listing vertex masks to
-    ([0], [], [low | s for s in r]).  Memoised on (candidates, excluded),
-    which determines it.  The branches are the candidates in the closed
-    neighbourhood of the pivot, the vertex of cand | excl with the fewest
-    neighbours in cand (the lowest on ties, for a reproducible order)."""
-    memo: dict[tuple[int, int], object] = {}
+def _search(nbr: Sequence[int], cover: Sequence[tuple[int, int]] = (),
+            out: Optional[list[int]] = None):
+    """`rec`, with `rec(cand, excl, chosen)` the number of maximal independent
+    sets that add vertices of `cand` to `chosen`, dominate `excl` and meet
+    `cover`, each appended to `out` if given.  They lie in reach = chosen |
+    cand, so a branch whose reach fails a pair counts 0 (at a leaf, reach is
+    the set).  A plain count depends on (cand, excl) only and is memoised on
+    it.  The branches are the candidates in the closed neighbourhood of the
+    pivot, the vertex of cand | excl with the fewest neighbours in cand (the
+    lowest on ties, for a reproducible order)."""
+    memo = None if cover or out is not None else {}
 
-    def rec(cand: int, excl: int):
+    def rec(cand: int, excl: int, chosen: int) -> int:
+        if cover:
+            reach = chosen | cand
+            for shift, hit in cover:
+                if not (reach & hit or reach & reach >> shift):
+                    return 0
         if cand == 0:
-            return dead_end if excl else leaf
-        key = (cand, excl)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+            if out is not None and not excl:
+                out.append(chosen)
+            return 0 if excl else 1
+        if memo is not None:
+            key = (cand, excl)
+            if key in memo:
+                return memo[key]
         best = -1
         mm = cand | excl
         while mm:
@@ -144,16 +148,17 @@ def _component_mis(nbr: Sequence[int], leaf, dead_end, extend):
                 if not k:
                     break
         branch = cand & (nbr[pivot.bit_length() - 1] | pivot)
-        total = dead_end
+        total = 0
         c, x = cand, excl
         while branch:
             low = branch & -branch
             branch ^= low
             near = nbr[low.bit_length() - 1]
-            total = total + extend(low, rec(c & ~near & ~low, x & ~near))
+            total += rec(c & ~near & ~low, x & ~near, chosen | low)
             c &= ~low
             x |= low
-        memo[key] = total
+        if memo is not None:
+            memo[key] = total
         return total
 
     return rec

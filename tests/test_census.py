@@ -36,7 +36,7 @@ from sumfree.intset import (
     mask_is_sum_free,
 )
 from sumfree.linkgraph import link_masks
-from sumfree.mis import EnumerationLimitError, mis_masks
+from sumfree.mis import EnumerationLimitError, count_covering_mis
 
 # frozen by running the oracle
 F_VALUES = [2, 3, 6, 9, 16, 24, 42, 61, 108, 151, 253, 369, 607, 847]
@@ -294,14 +294,16 @@ class _RecordingPool:
 
 
 def _upper_mis_count(n, seed):
-    # the maximal independent sets `_seed_counts` lists for one seed
+    # the maximal independent sets of one seed's link graph on the upper
+    # half: the leaves of the unpruned search, so a bound on the cover-pruned
+    # one `_seed_counts` runs for the seed's share of f_max
     free, nbr = link_masks(seed, (1 << n) - (1 << n // 2))
-    return len(mis_masks(nbr, free))
+    return count_covering_mis(nbr, free)
 
 
 def test_split_balance(monkeypatch):
     # the pool's tasks are chunks of seeds that together give f(24) and
-    # f_max(24), and no chunk lists more than an eighth of the maximal
+    # f_max(24), and no chunk holds more than an eighth of the maximal
     # independent sets of the seeds' link graphs on the upper half
     import concurrent.futures
 
@@ -309,12 +311,12 @@ def test_split_balance(monkeypatch):
     n = 24
     assert branch_counts(n, workers=2) == (45417, 1043)
     chunks = _RecordingPool.tasks
-    listed = [sum(_upper_mis_count(n, s) for s in chunk) for chunk in chunks]
+    sets = [sum(_upper_mis_count(n, s) for s in chunk) for chunk in chunks]
     assert len(chunks) >= 16
     assert sorted(s for chunk in chunks for s in chunk) == sorted(
         sum_free_subsets_of(range(1, n // 2 + 1))
     )
-    assert 8 * max(listed) <= sum(listed)
+    assert 8 * max(sets) <= sum(sets)
 
 
 def test_enumeration_examples():

@@ -24,10 +24,12 @@ from sumfree.mis import (
     EnumerationLimitError,
     _leq_power,
     bound_certificates,
+    count_covering_mis,
     count_independent,
     count_mis,
     enumerate_mis,
     mis_cycle,
+    mis_masks,
 )
 
 
@@ -161,6 +163,36 @@ def test_count_matches_enumeration_and_brute_force(g):
     assert sets == brute_force_mis(g)
     loop_free = [v for i, v in enumerate(g.labels) if not g.loops_mask >> i & 1]
     assert count_mis(g) == count_mis(induced_subgraph(g, loop_free))
+
+
+def _free(g: Graph) -> int:
+    return ((1 << g.num_vertices) - 1) & ~g.loops_mask
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_covering_count_matches_filtered_listing(data):
+    # the pruned search counts exactly the listed sets that meet every pair
+    g = data.draw(random_graphs())
+    n = g.num_vertices
+    pair = st.tuples(st.integers(min_value=1, max_value=n),
+                     st.integers(min_value=0, max_value=(1 << n) - 1))
+    cover = data.draw(st.lists(pair, max_size=4))
+    kept = [ind for ind in mis_masks(g.nbr, _free(g))
+            if all(ind & hit or ind & ind >> shift for shift, hit in cover)]
+    assert count_covering_mis(g.nbr, _free(g), cover) == len(kept)
+    assert count_covering_mis(g.nbr, _free(g)) == count_mis(g)
+
+
+@given(random_graphs(6), random_graphs(6))
+@settings(max_examples=80, deadline=None)
+def test_listing_on_disjoint_unions_is_the_product(a, b):
+    k = a.num_vertices
+    g = disjoint_union(a, relabel(b, {v: v + k for v in b.labels}))
+    sets = mis_masks(g.nbr, _free(g))
+    product = [x | y << k for x in mis_masks(a.nbr, _free(a)) for y in mis_masks(b.nbr, _free(b))]
+    assert sorted(sets) == sorted(product)
+    assert len(sets) == count_mis(g) == count_mis(a) * count_mis(b)
 
 
 @given(random_graphs())
