@@ -21,10 +21,12 @@ maximal sets and the seeds, and cross-checks the branch route's f_max.
 
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
-other; the two-step-mis check compares it with the walk), the census of
-maximal sets with exactly one even member together with its
-inclusion-exclusion sandwich, the even-link sums whose 2^{n/4} ratios
-stabilise by residue class, and a census of sets with small sumset.
+other that blocks the open elements no two members of that part sum to,
+each union re-tested by the definition; the two-step-mis check compares it
+with the walk), the census of maximal sets with exactly one even member
+together with its inclusion-exclusion sandwich, the even-link sums whose
+2^{n/4} ratios stabilise by residue class, and a census of sets with small
+sumset.
 """
 
 from __future__ import annotations
@@ -242,8 +244,11 @@ def enumerate_maximal_sum_free(n: int, limit: int = 40) -> list[IntSubset]:
     return [IntSubset(ground, m) for m in sorted(out, key=_mask_sort_key)]
 
 
-def _mask_sort_key(mask: int) -> tuple[int, ...]:
-    return tuple(iter_mask(mask))
+def _mask_sort_key(mask: int) -> str:
+    """Sorts masks as their sorted member tuples do: character x - 1 is "1"
+    for a member x and "2" for a gap, up to the largest member, so a prefix
+    comes first."""
+    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
 
 
 def sum_free_subsets_of(members: Iterable[int]) -> list[int]:
@@ -274,11 +279,17 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
 
-    Each union is re-tested for maximality by the definition: the open
-    element test of `_seed_counts` is exact only for the halves split, and
-    for general parts (F1 may lie above F2, [n] may hold elements of
-    neither) two members of F2 can also block an element by their sum.
-    Kept definitional, the listing also checks the branch route's count.
+    The listing is pruned by the open elements, the y of [n] outside F2
+    that S neither holds nor blocks.  S + I blocks y only through I: an i
+    with y = i + s, i - s, s - i (y's edges in the link graph on F2 + {y}),
+    i = 2y or y = 2i, or two members i < i' with y = i' - i or i + i'.  For
+    y <= 2 min F2 no such sum exists, so (y, the first kinds' i) is a
+    necessary pair of `count_covering_mis`' cover.  A larger y gets no pair,
+    as the cover cannot express the sum kind yet (ROADMAP item 2).
+
+    Every listed union is still re-tested for maximality by the definition,
+    which keeps the function exact for any two parts.  On the halves split
+    the pairs reduce to `_seed_counts`' cover and the re-test keeps all.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
@@ -286,12 +297,17 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
         raise ValueError("the extension part must be sum-free")
     ground = GroundSet(n)
     universe = ground.universe_mask
+    # the y at most 2 min F2 (none when F2 is empty)
+    paired = (1 << 2 * (f2.mask & -f2.mask).bit_length()) - 1
     # a union's seed is its part in F1, so no two (seed, MIS) pairs coincide;
     # a MIS of the element-space link graph is already a mask of [n]
     found: list[int] = []
     for seed_mask in sum_free_subsets_of(f1.members):
-        free, nbr = link_masks(seed_mask, f2.mask)
-        for ind in mis_masks(nbr, free):
+        opened = universe & ~f2.mask & ~seed_mask & ~mask_blocked(seed_mask)
+        free, nbr = link_masks(seed_mask, f2.mask | opened)
+        cover = [(y, (nbr[y - 1] | 1 << 2 * y - 1 | (0 if y % 2 else 1 << y // 2 >> 1))
+                  & f2.mask) for y in iter_mask(opened & paired)]
+        for ind in mis_masks(nbr, free & f2.mask, cover):
             m = seed_mask | ind
             if not universe & ~m & ~mask_blocked(m):
                 found.append(m)

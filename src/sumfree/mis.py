@@ -16,11 +16,11 @@ Tomita-Tanaka-Takahashi pivot branches over a closed neighbourhood, which
 keeps the branch factor at degree + 1 on the sparse structured graphs this
 package produces.
 
-The recursion also carries the chosen set, so it can count only the sets
-that meet a cover (see `count_covering_mis`), dropping a branch once no set
-below it can.  Listing refuses past its cap (unless the 3^{n/3} bound
-already keeps it under) and appends the chosen set at each maximal leaf of
-the unmemoised recursion.  `enumerate_mis` returns label tuples in
+The recursion also carries the chosen set, so it can count or list only
+the sets that meet a cover (see `count_covering_mis`), dropping a branch
+once no set below it can.  Listing refuses past its cap (unless the
+3^{n/3} bound already keeps it under) and appends the chosen set at each
+maximal leaf of the unmemoised recursion.  `enumerate_mis` returns label tuples in
 canonical order (lexicographic on sorted vertex labels).
 """
 
@@ -69,23 +69,24 @@ def count_covering_mis(nbr: Sequence[int], free: int, cover: Sequence[tuple[int,
     return math.prod(rec(comp, 0, 0) for comp in component_masks(nbr, free))
 
 
-def mis_masks(nbr: Sequence[int], free: int, cap: int = 1_000_000) -> list[int]:
+def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
+              cap: int = 1_000_000) -> list[int]:
     """The maximal independent sets of the graph `nbr` restricted to the
-    vertex mask `free`, as vertex masks in no set order.  Raises before
-    listing if there are more than `cap`, so memory stays bounded by the
-    output."""
+    vertex mask `free` that meet `cover` (as in `count_covering_mis`), as
+    vertex masks in no set order.  Raises before listing if there are more
+    than `cap`, so memory stays bounded by the output."""
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
-    if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free) > cap:
+    if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free, cover) > cap:
         raise EnumerationLimitError(f"more than {cap} maximal independent sets")
     sets: list[int] = []
-    _search(nbr, out=sets)(free, 0, 0)
+    _search(nbr, cover, out=sets)(free, 0, 0)
     return sets
 
 
 def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All maximal independent sets, as sorted label tuples in canonical
     (lexicographic) order; `mis_masks` with its cap, relabelled."""
-    sets = mis_masks(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, cap)
+    sets = mis_masks(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask, cap=cap)
     return sorted(tuple(sorted(g.labels[i] for i in _bits(m))) for m in sets)
 
 

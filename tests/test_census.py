@@ -36,7 +36,7 @@ from sumfree.intset import (
     mask_is_sum_free,
 )
 from sumfree.linkgraph import link_masks
-from sumfree.mis import EnumerationLimitError, count_covering_mis
+from sumfree.mis import EnumerationLimitError, count_covering_mis, mis_masks
 
 # frozen by running the oracle
 F_VALUES = [2, 3, 6, 9, 16, 24, 42, 61, 108, 151, 253, 369, 607, 847]
@@ -271,6 +271,55 @@ def test_two_step_matches_brute_force(parts):
     got = two_step_enumerate(IntSubset(GroundSet(n), f1), IntSubset(GroundSet(n), f2), n)
     want = [m for m in _brute_maximal(n) if not m & ~(f1 | f2)]
     assert [s.mask for s in got] == sorted(want, key=lambda m: tuple(iter_mask(m)))
+
+
+@st.composite
+def _wide_parts(draw):
+    # disjoint F1, F2 in [n] past the brute force's reach: F1 above, below
+    # or interleaved with a greedily sum-free F2, or the evens and the odds
+    n = draw(st.integers(13, 22))
+    layout = draw(st.sampled_from(["above", "below", "interleaved", "parity"]))
+    if layout == "parity":
+        return n, sum(1 << x - 1 for x in range(2, n + 1, 2)), sum(1 << x - 1 for x in range(1, n + 1, 2))
+    cut = draw(st.integers(n // 3, 2 * n // 3))
+    upper = [layout != "below" if x > cut else layout == "below" for x in range(1, n + 1)]
+    if layout == "interleaved":
+        upper = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kept = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    f1 = f2 = 0
+    for x, in_f1, keep in zip(range(1, n + 1), upper, kept):
+        if not keep:  # in neither part
+            continue
+        if in_f1:
+            f1 |= 1 << (x - 1)
+        elif mask_is_sum_free(f2 | 1 << (x - 1)):
+            f2 |= 1 << (x - 1)
+    return n, f1, f2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_parts())
+def test_two_step_matches_the_unpruned_listing(parts):
+    # every MIS of every seed's link graph, kept iff the union is maximal:
+    # a set the cover wrongly prunes would be missing, which the re-test
+    # cannot see
+    n, f1, f2 = parts
+    ground = GroundSet(n)
+    want = []
+    for seed in sum_free_subsets_of(iter_mask(f1)):
+        free, nbr = link_masks(seed, f2)
+        want += [seed | ind for ind in mis_masks(nbr, free)
+                 if is_maximal_sum_free(IntSubset(ground, seed | ind))]
+    got = two_step_enumerate(IntSubset(ground, f1), IntSubset(ground, f2), n)
+    assert [s.mask for s in got] == sorted(want, key=lambda m: tuple(iter_mask(m)))
+
+
+def test_mask_sort_key_orders_as_member_tuples():
+    rng = random.Random(7)
+    for masks in (range(1 << 12),
+                  [0, *(rng.getrandbits(rng.randint(1, 40)) for _ in range(3000))]):
+        assert sorted(masks, key=census._mask_sort_key) == sorted(
+            masks, key=lambda m: tuple(iter_mask(m)))
 
 
 class _RecordingPool:

@@ -172,7 +172,8 @@ def _free(g: Graph) -> int:
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_covering_count_matches_filtered_listing(data):
-    # the pruned search counts exactly the listed sets that meet every pair
+    # the pruned search counts and lists exactly the sets of the unpruned
+    # listing that meet every pair
     g = data.draw(random_graphs())
     n = g.num_vertices
     pair = st.tuples(st.integers(min_value=1, max_value=n),
@@ -181,7 +182,19 @@ def test_covering_count_matches_filtered_listing(data):
     kept = [ind for ind in mis_masks(g.nbr, _free(g))
             if all(ind & hit or ind & ind >> shift for shift, hit in cover)]
     assert count_covering_mis(g.nbr, _free(g), cover) == len(kept)
+    assert sorted(mis_masks(g.nbr, _free(g), cover)) == sorted(kept)
     assert count_covering_mis(g.nbr, _free(g)) == count_mis(g)
+
+
+def test_cap_counts_the_covered_sets():
+    # 2^12 sets in all, 4 once ten of the twelve edges must use their even end
+    g = matching(12)
+    cover = [(24, 1 << 2 * i) for i in range(10)]
+    with pytest.raises(EnumerationLimitError):
+        mis_masks(g.nbr, _free(g), cap=100)
+    assert len(mis_masks(g.nbr, _free(g), cover, cap=4)) == 4
+    with pytest.raises(EnumerationLimitError):
+        mis_masks(g.nbr, _free(g), cover, cap=3)
 
 
 @given(random_graphs(6), random_graphs(6))
