@@ -22,11 +22,11 @@ maximal sets and the seeds, and cross-checks the branch route's f_max.
 On top of the enumeration sit the two-step enumeration (a sum-free seed in
 one part joined with each maximal independent set of its link graph on the
 other that blocks the open elements no two members of that part sum to,
-each union re-tested by the definition; the two-step-mis check compares it
-with the walk), the census of maximal sets with exactly one even member
-together with its inclusion-exclusion sandwich, the even-link sums whose
-2^{n/4} ratios stabilise by residue class, and a census of sets with small
-sumset.
+an exact test; a union is re-tested by the definition only at the other
+open elements, and the two-step-mis check compares the listing with the
+walk), the census of maximal sets with exactly one even member together
+with its inclusion-exclusion sandwich, the even-link sums whose 2^{n/4}
+ratios stabilise by residue class, and a census of sets with small sumset.
 """
 
 from __future__ import annotations
@@ -283,13 +283,19 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
     that S neither holds nor blocks.  S + I blocks y only through I: an i
     with y = i + s, i - s, s - i (y's edges in the link graph on F2 + {y}),
     i = 2y or y = 2i, or two members i < i' with y = i' - i or i + i'.  For
-    y <= 2 min F2 no such sum exists, so (y, the first kinds' i) is a
-    necessary pair of `count_covering_mis`' cover.  A larger y gets no pair,
-    as the cover cannot express the sum kind yet (ROADMAP item 2).
+    y <= 2 min F2 no such sum exists, so (y, the first kinds' i) is a pair
+    of `count_covering_mis`' cover that S + I meets iff it blocks y.  A
+    larger y gets no pair, as the cover cannot express the sum kind yet
+    (ROADMAP item 2).
 
-    Every listed union is still re-tested for maximality by the definition,
-    which keeps the function exact for any two parts.  On the halves split
-    the pairs reduce to `_seed_counts`' cover and the re-test keeps all.
+    A listed union S + I is sum-free (I is independent, F2 sum-free) and
+    blocks every other element of [n]: a member of F2 by S (a loop) or by
+    I's maximality, a paired y by its pair, any other y but the unpaired
+    open ones by S.  So only
+    the unpaired open y are re-tested, by the definition, which keeps the
+    function exact for any two parts; a seed with none is not re-tested.
+    On the halves split every open y is paired, and the pairs reduce to
+    `_seed_counts`' cover.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
@@ -307,10 +313,12 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
         free, nbr = link_masks(seed_mask, f2.mask | opened)
         cover = [(y, (nbr[y - 1] | 1 << 2 * y - 1 | (0 if y % 2 else 1 << y // 2 >> 1))
                   & f2.mask) for y in iter_mask(opened & paired)]
-        for ind in mis_masks(nbr, free & f2.mask, cover):
-            m = seed_mask | ind
-            if not universe & ~m & ~mask_blocked(m):
-                found.append(m)
+        sets = mis_masks(nbr, free & f2.mask, cover)
+        unpaired = opened & ~paired  # the only y a listed union may leave open
+        if unpaired:
+            sets = [ind for ind in sets
+                    if not unpaired & ~mask_blocked(seed_mask | ind)]
+        found += [seed_mask | ind for ind in sets]
     return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
 
 

@@ -36,12 +36,17 @@ def link_masks(s_mask: int, b_mask: int) -> tuple[int, list[int]]:
     the y in B other than x with y = x + z, z - x or x - z for some z in S;
     free is B without its loop vertices, which are what S blocks."""
     top = max(s_mask.bit_length(), b_mask.bit_length()) + 1
-    # S reversed, element z at bit top - 1 - z, so x - z is rev >> (top - x)
-    rev = sum(1 << (top - 1 - z) for z in iter_mask(s_mask))
+    # S reversed (its binary digits read backwards), element z at bit
+    # top - 1 - z, so x - z is rev >> (top - x)
+    rev = int(bin(s_mask)[:1:-1], 2) << (top - 1 - s_mask.bit_length())
     nbr = [0] * b_mask.bit_length()
-    for x in iter_mask(b_mask):
+    m = b_mask
+    while m:
+        low = m & -m
+        m ^= low
+        x = low.bit_length()
         near = (s_mask << x) | (s_mask >> x) | (rev >> (top - x))
-        nbr[x - 1] = near & b_mask & ~(1 << (x - 1))
+        nbr[x - 1] = near & (b_mask ^ low)
     return b_mask & ~mask_blocked(s_mask), nbr
 
 

@@ -297,21 +297,54 @@ def _wide_parts(draw):
     return n, f1, f2
 
 
-@settings(max_examples=100, deadline=None)
-@given(_wide_parts())
-def test_two_step_matches_the_unpruned_listing(parts):
-    # every MIS of every seed's link graph, kept iff the union is maximal:
-    # a set the cover wrongly prunes would be missing, which the re-test
-    # cannot see
-    n, f1, f2 = parts
+def _unpruned_listing(n, f1, f2):
+    # every MIS of every seed's link graph, kept iff the union is maximal
     ground = GroundSet(n)
     want = []
     for seed in sum_free_subsets_of(iter_mask(f1)):
         free, nbr = link_masks(seed, f2)
         want += [seed | ind for ind in mis_masks(nbr, free)
                  if is_maximal_sum_free(IntSubset(ground, seed | ind))]
+    return sorted(want, key=lambda m: tuple(iter_mask(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_parts())
+def test_two_step_matches_the_unpruned_listing(parts):
+    # a set the cover wrongly prunes would be missing, and a union kept
+    # without its re-test at an unpaired open y may not be maximal
+    n, f1, f2 = parts
+    ground = GroundSet(n)
     got = two_step_enumerate(IntSubset(ground, f1), IntSubset(ground, f2), n)
-    assert [s.mask for s in got] == sorted(want, key=lambda m: tuple(iter_mask(m)))
+    assert [s.mask for s in got] == _unpruned_listing(n, f1, f2)
+
+
+@st.composite
+def _paired_parts(draw):
+    # F2 a nonempty part of (n/2, n], so 2 min F2 > n and every open y has
+    # its pair, F1 any part of the rest, and some elements in neither part
+    n = draw(st.integers(13, 22))
+    side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    f1 = f2 = 0
+    for x, part in enumerate(side, 1):
+        if part == 2 and 2 * x > n:
+            f2 |= 1 << (x - 1)
+        elif part:
+            f1 |= 1 << (x - 1)
+    if not f2:
+        f2, f1 = 1 << (n - 1), f1 & ~(1 << (n - 1))
+    return n, f1, f2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_paired_parts())
+def test_two_step_without_unpaired_elements_matches_the_unpruned_listing(parts):
+    # no union is re-tested here, so the pairs alone must keep exactly the
+    # maximal unions
+    n, f1, f2 = parts
+    ground = GroundSet(n)
+    got = two_step_enumerate(IntSubset(ground, f1), IntSubset(ground, f2), n)
+    assert [s.mask for s in got] == _unpruned_listing(n, f1, f2)
 
 
 def test_mask_sort_key_orders_as_member_tuples():
@@ -402,6 +435,20 @@ def test_two_step_full_reproduction():
             n,
         )
         assert [s.members for s in got] == full
+
+
+def test_two_step_halves_against_the_oracle():
+    # the halves listing past the walk's reach above: every maximal set,
+    # each once
+    for n, f_max in ((24, 1043), (30, 5017)):
+        got = two_step_enumerate(
+            IntSubset.of(n, range(1, n // 2 + 1)),
+            IntSubset.of(n, range(n // 2 + 1, n + 1)),
+            n,
+        )
+        assert len({s.mask for s in got}) == len(got) == oracle_counts(n)[1] == f_max
+        if n == 24:
+            assert all(is_maximal_sum_free(s) for s in got)
 
 
 def test_two_step_restriction():
