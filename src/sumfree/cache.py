@@ -27,8 +27,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "sumfree"
 
 
-def cache_key(operation: str, params: Any, version: str = VERSION_TAG) -> str:
-    blob = json.dumps([operation, params, version], sort_keys=True)
+def cache_key(operation: str, params: Any) -> str:
+    blob = json.dumps([operation, params, VERSION_TAG], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -36,16 +36,15 @@ def cache_lookup(
     cache_dir: Path,
     operation: str,
     params: Any,
-    version: str = VERSION_TAG,
     valid: Callable[[Any], bool] = lambda payload: True,
 ) -> Optional[Any]:
-    path = cache_dir / f"{cache_key(operation, params, version)}.json"
+    path = cache_dir / f"{cache_key(operation, params)}.json"
     if not path.exists():
         return None
     try:
         entry = json.loads(path.read_text())
         stored = (entry["operation"], entry["params"], entry["version"])
-        if stored != (operation, params, version) or not valid(entry["payload"]):
+        if stored != (operation, params, VERSION_TAG) or not valid(entry["payload"]):
             raise ValueError("entry does not match the request")
         return entry["payload"]
     except (ValueError, KeyError, TypeError, OSError) as exc:  # TypeError: not an object
@@ -53,18 +52,12 @@ def cache_lookup(
         return None
 
 
-def cache_store(
-    cache_dir: Path,
-    operation: str,
-    params: Any,
-    payload: Any,
-    version: str = VERSION_TAG,
-) -> None:
-    path = cache_dir / f"{cache_key(operation, params, version)}.json"
+def cache_store(cache_dir: Path, operation: str, params: Any, payload: Any) -> None:
+    path = cache_dir / f"{cache_key(operation, params)}.json"
     entry = {
         "operation": operation,
         "params": params,
-        "version": version,
+        "version": VERSION_TAG,
         "payload": payload,
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

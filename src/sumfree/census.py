@@ -14,19 +14,17 @@ Two independent routes are provided and cross-checked:
   search, none listed) the maximal ones that also block every lower element
   S leaves open.  Chunks of seeds are the tasks of a process pool.
 
-The prefix-tree walk keeps each node's blocked mask (sums, differences,
-halves), so a childless node is maximal iff one AND comes out empty, and it
-cuts subtrees where an open element can no longer be blocked.  It lists the
-maximal sets and the seeds, and cross-checks the branch route's f_max.
-
-On top of the enumeration sit the two-step enumeration (a sum-free seed in
-one part joined with each maximal independent set of its link graph on the
-other that blocks the open elements no two members of that part sum to,
-an exact test; a union is re-tested by the definition only at the other
-open elements, and the two-step-mis check compares the listing with the
-walk), the census of maximal sets with exactly one even member together
-with its inclusion-exclusion sandwich, the even-link sums whose 2^{n/4}
-ratios stabilise by residue class, and a census of sets with small sumset.
+One per-seed step, `_seed_graph` (a seed's link graph on a sum-free part
+and the cover of the elements it leaves open), serves the branch counts, the
+two-step listing (seeds in one part joined with maximal independent sets of
+their link graphs on the other) and the census of maximal sets with exactly
+one even member (the seeds {x} on the odds).  The prefix-tree walk keeps
+each node's blocked mask (sums, differences, halves), so a childless node is
+maximal iff one AND comes out empty, and cuts subtrees where an open element
+can no longer be blocked; it lists the maximal sets and the seeds, and
+cross-checks the routes above in the tests and the two-step-mis check.
+Also here: the single-even sandwich, the even-link sums whose 2^{n/4} ratios
+stabilise by residue class, and a census of sets with small sumset.
 """
 
 from __future__ import annotations
@@ -185,23 +183,53 @@ def _walker(
     return walk
 
 
+def _seed_graph(seed: int, part: int, n: int) -> tuple[list[int], int, list, int]:
+    """The per-seed problem: a sum-free seed S joined with a set I inside a
+    sum-free part B of [n] disjoint from S.  Returns (nbr, free, cover,
+    unpaired) from one `mask_blocked(S)`: nbr is S's link graph on B | open,
+    the open y being the elements of [n] outside B that S neither holds nor
+    blocks; free is B less the loops, which S blocks; cover has a pair for
+    each open y <= 2 min B; unpaired is the other open y.
+
+    S | I is sum-free iff I is independent in nbr on free.  It then blocks
+    each member of B, by S (a loop) or by I's maximality, and every other
+    element but the open y, by S.  It blocks an open y only through I: an i
+    with y = i + s, i - s or s - i (y's edges in nbr), i = 2y or y = 2i, or
+    members i < i' with y = i' - i or i + i'.  For y <= 2 min B no two
+    members of B sum to y, so S | I meets y's pair, as `count_covering_mis`
+    reads it, iff it blocks y.  So S | I is maximal iff I is a maximal
+    independent set that meets the cover and blocks the unpaired y."""
+    blocked = mask_blocked(seed)
+    opened = (1 << n) - 1 & ~part & ~seed & ~blocked
+    nbr = link_masks(seed, part | opened)
+    paired = opened & (1 << 2 * (part & -part).bit_length()) - 1  # none if B is empty
+    cover = [(y, (nbr[y - 1] | 1 << 2 * y - 1 | (0 if y % 2 else 1 << y // 2 >> 1)) & part)
+             for y in iter_mask(paired)]
+    return nbr, part & ~blocked, cover, opened & ~paired
+
+
+def _seed_listing(seed: int, part: int, n: int) -> list[int]:
+    """The maximal sum-free sets S | I of [n] for the seed S and the part B
+    of `_seed_graph`: the maximal independent sets under its cover, each
+    union re-tested by the definition at the unpaired y only."""
+    nbr, free, cover, unpaired = _seed_graph(seed, part, n)
+    sets = [seed | ind for ind in mis_masks(nbr, free, cover)]
+    if unpaired:
+        sets = [m for m in sets if not unpaired & ~mask_blocked(m)]
+    return sets
+
+
 def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
-    """(f, f_max) over the sets of [n] whose part in [n/2] is in `seeds`.
-    The upper half is sum-free, so S | I is sum-free iff I is independent in
-    S's link graph there.  Two upper elements never block a third (their
-    sum passes n, their difference falls below n/2), so S | I is maximal
-    iff I is a maximal independent set that also blocks every open y, a
-    lower element S neither holds nor blocks: I meets (S | {y}) + y (some
-    i - y in S, or i = 2y), or two members of I differ by y: the cover
-    `count_covering_mis` prunes its search with, so no I is listed."""
+    """(f, f_max) over the sets of [n] whose part in [n/2] is in `seeds`,
+    by `_seed_graph` on the upper half: the independent sets, and the
+    maximal ones under the cover, counted in one pruned search that lists
+    none.  2 min B passes n there, so no open y is unpaired."""
     half = n // 2
     upper = (1 << n) - 1 >> half << half
     f = f_max = 0
     for seed in seeds:
-        free, nbr = link_masks(seed, upper)
+        nbr, free, cover, _ = _seed_graph(seed, upper, n)
         f += count_independent(nbr, free)
-        opened = (1 << half) - 1 & ~seed & ~mask_blocked(seed)
-        cover = [(y, (seed | 1 << y - 1) << y) for y in iter_mask(opened)]
         f_max += count_covering_mis(nbr, free, cover)
     return f, f_max
 
@@ -278,47 +306,16 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
-
-    The listing is pruned by the open elements, the y of [n] outside F2
-    that S neither holds nor blocks.  S + I blocks y only through I: an i
-    with y = i + s, i - s, s - i (y's edges in the link graph on F2 + {y}),
-    i = 2y or y = 2i, or two members i < i' with y = i' - i or i + i'.  For
-    y <= 2 min F2 no such sum exists, so (y, the first kinds' i) is a pair
-    of `count_covering_mis`' cover that S + I meets iff it blocks y.  A
-    larger y gets no pair, as the cover cannot express the sum kind yet
-    (ROADMAP item 2).
-
-    A listed union S + I is sum-free (I is independent, F2 sum-free) and
-    blocks every other element of [n]: a member of F2 by S (a loop) or by
-    I's maximality, a paired y by its pair, any other y but the unpaired
-    open ones by S.  So only
-    the unpaired open y are re-tested, by the definition, which keeps the
-    function exact for any two parts; a seed with none is not re-tested.
-    On the halves split every open y is paired, and the pairs reduce to
-    `_seed_counts`' cover.
+    Each seed's sets are its `_seed_listing` on F2, exact for any two parts;
+    a union's seed is its part in F1, so no set is listed twice.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
     if not mask_is_sum_free(f2.mask):
         raise ValueError("the extension part must be sum-free")
+    found = [m for seed in sum_free_subsets_of(f1.members)
+             for m in _seed_listing(seed, f2.mask, n)]
     ground = GroundSet(n)
-    universe = ground.universe_mask
-    # the y at most 2 min F2 (none when F2 is empty)
-    paired = (1 << 2 * (f2.mask & -f2.mask).bit_length()) - 1
-    # a union's seed is its part in F1, so no two (seed, MIS) pairs coincide;
-    # a MIS of the element-space link graph is already a mask of [n]
-    found: list[int] = []
-    for seed_mask in sum_free_subsets_of(f1.members):
-        opened = universe & ~f2.mask & ~seed_mask & ~mask_blocked(seed_mask)
-        free, nbr = link_masks(seed_mask, f2.mask | opened)
-        cover = [(y, (nbr[y - 1] | 1 << 2 * y - 1 | (0 if y % 2 else 1 << y // 2 >> 1))
-                  & f2.mask) for y in iter_mask(opened & paired)]
-        sets = mis_masks(nbr, free & f2.mask, cover)
-        unpaired = opened & ~paired  # the only y a listed union may leave open
-        if unpaired:
-            sets = [ind for ind in sets
-                    if not unpaired & ~mask_blocked(seed_mask | ind)]
-        found += [seed_mask | ind for ind in sets]
     return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
 
 
@@ -336,6 +333,9 @@ class SingleEvenCensus:
 
 
 def single_even_census(n: int, limit: int = 30) -> SingleEvenCensus:
+    """f'_max(n) and its sandwich.  A maximal set with exactly one even
+    member x is {x} joined with a set of odds, so f'_max sums, over the
+    even x, the `_seed_listing` of the seed {x} on the odds."""
     if n > limit:
         raise EnumerationLimitError(f"n = {n} exceeds the census limit {limit}")
     evens = list(range(2, n + 1, 2))
@@ -344,10 +344,8 @@ def single_even_census(n: int, limit: int = 30) -> SingleEvenCensus:
     for i, x in enumerate(evens):
         for x2 in evens[i + 1 :]:
             pair_sum += count_mis(link_pair_even(n, x, x2))
-    exact = 0
-    for mset in enumerate_maximal_sum_free(n):
-        if sum(1 for e in mset if e % 2 == 0) == 1:
-            exact += 1
+    odds = sum(1 << x - 1 for x in range(1, n + 1, 2))
+    exact = sum(len(_seed_listing(1 << x - 1, odds, n)) for x in evens)
     return SingleEvenCensus(n, exact, upper - 2 * pair_sum, upper)
 
 

@@ -40,6 +40,7 @@ from .mis import EnumerationLimitError, count_mis, enumerate_mis
 # extrapolates to about 540 s, too close to 600 s
 ENUMERATE_MAX_N = 70
 MAX_WORKERS = 64  # each a whole interpreter process, and a pool may start all at once
+_GRAPH_FAMILIES = "path:N, cycle:N, matching:K, complete:N, prism"  # mis --family
 # value types of the record `enumerate` prints and caches
 _RECORD_TYPES = {"ground": str, "f": int, "f_max": int, "method": str, "elapsed_ms": float}
 
@@ -85,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mis", help="count maximal independent sets", parents=[common])
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", type=Path, help="graph text file")
-    src.add_argument("--family", help="path:N, cycle:N, matching:K, complete:N, prism")
+    src.add_argument("--family", help=_GRAPH_FAMILIES)
     p.add_argument("--enumerate", action="store_true", dest="list_sets")
 
     p = sub.add_parser("link", help="emit a link graph in text format", parents=[common])
@@ -133,11 +134,11 @@ def _emit(line: str) -> None:
 def _family_graph(spec: str) -> Graph:
     name, _, arg = spec.partition(":")
     builders = {"path": path, "cycle": cycle, "matching": matching, "complete": complete}
-    if name == "prism":
+    if spec == "prism":
         return prism()
-    if name in builders:
+    if name in builders and arg.isdecimal():
         return builders[name](int(arg))
-    raise ValueError(f"unknown graph family {spec!r}")
+    raise ValueError(f"graph family {spec!r} is not one of {_GRAPH_FAMILIES}")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -199,7 +200,10 @@ def _cmd_link(args: argparse.Namespace) -> int:
         else:
             g = link_single_even(args.n, args.even)
     elif args.m is not None:
-        s = [int(v) for v in args.s.split(",")] if args.s else []
+        try:
+            s = [int(v) for v in args.s.split(",")] if args.s else []
+        except ValueError:
+            raise ValueError(f"--s must be comma-separated integers, not {args.s!r}") from None
         g = link_family(args.n, args.m, s)
     else:
         raise ValueError("link needs --m or --even")

@@ -18,9 +18,10 @@ maximal sum-free sets whose minimum is m: its vertices in S+S and S+m all
 carry loops, and with max(S + {m}) below min(B) the graph is triangle-free.
 
 Over the integers the link graph is built in element space (element x at
-bit x - 1) by `link_masks`, from three shifts of the mask of S per vertex;
-the census feeds those masks straight to the MIS recursion, and
-`link_graph_ints` relabels them onto B's index space as a `Graph`.
+bit x - 1) by `link_masks`, from three shifts of the mask of S per vertex.
+Its loops are B & `intset.mask_blocked(S)`, which the caller holds (the
+census also reads a seed's open elements off it); `link_graph_ints`
+relabels both onto B's index space as a `Graph`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .group import AbelianGroup, GroupSubset
 from .intset import IntSubset, iter_mask, mask_blocked
 
 
-def link_masks(s_mask: int, b_mask: int) -> tuple[int, list[int]]:
-    """(free, nbr): the link graph of S on B in element space, for any S and
-    B (they may overlap, S need not be sum-free).  nbr[x - 1] is the mask of
-    the y in B other than x with y = x + z, z - x or x - z for some z in S;
-    free is B without its loop vertices, which are what S blocks."""
+def link_masks(s_mask: int, b_mask: int) -> list[int]:
+    """nbr, the edges of the link graph of S on B in element space, for any
+    S and B (they may overlap, S need not be sum-free).  nbr[x - 1] is the
+    mask of the y in B other than x with y = x + z, z - x or x - z for some
+    z in S.  The loop vertices are B & mask_blocked(S), which the caller
+    takes from the blocked mask it holds."""
     top = max(s_mask.bit_length(), b_mask.bit_length()) + 1
     # S reversed (its binary digits read backwards), element z at bit
     # top - 1 - z, so x - z is rev >> (top - x)
@@ -47,7 +49,7 @@ def link_masks(s_mask: int, b_mask: int) -> tuple[int, list[int]]:
         x = low.bit_length()
         near = (s_mask << x) | (s_mask >> x) | (rev >> (top - x))
         nbr[x - 1] = near & (b_mask ^ low)
-    return b_mask & ~mask_blocked(s_mask), nbr
+    return nbr
 
 
 def link_graph_ints(s_members, b_members) -> Graph:
@@ -55,12 +57,14 @@ def link_graph_ints(s_members, b_members) -> Graph:
     b = sorted(set(b_members))
     index = {x: 1 << i for i, x in enumerate(b)}
     b_mask = sum(1 << (x - 1) for x in b)
-    free, nbr = link_masks(sum(1 << (z - 1) for z in set(s_members)), b_mask)
+    s_mask = sum(1 << (z - 1) for z in set(s_members))
+    nbr = link_masks(s_mask, b_mask)
 
     def relabel(mask: int) -> int:
         return sum(index[x] for x in iter_mask(mask))
 
-    return Graph(tuple(b), tuple(relabel(nbr[x - 1]) for x in b), relabel(b_mask ^ free))
+    return Graph(tuple(b), tuple(relabel(nbr[x - 1]) for x in b),
+                 relabel(b_mask & mask_blocked(s_mask)))
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import census
+from sumfree import census, linkgraph
 from sumfree.census import (
     branch_counts,
     dprime_sum,
@@ -302,8 +302,8 @@ def _unpruned_listing(n, f1, f2):
     ground = GroundSet(n)
     want = []
     for seed in sum_free_subsets_of(iter_mask(f1)):
-        free, nbr = link_masks(seed, f2)
-        want += [seed | ind for ind in mis_masks(nbr, free)
+        free = f2 & ~mask_blocked(seed)
+        want += [seed | ind for ind in mis_masks(link_masks(seed, f2), free)
                  if is_maximal_sum_free(IntSubset(ground, seed | ind))]
     return sorted(want, key=lambda m: tuple(iter_mask(m)))
 
@@ -379,8 +379,8 @@ def _upper_mis_count(n, seed):
     # the maximal independent sets of one seed's link graph on the upper
     # half: the leaves of the unpruned search, so a bound on the cover-pruned
     # one `_seed_counts` runs for the seed's share of f_max
-    free, nbr = link_masks(seed, (1 << n) - (1 << n // 2))
-    return count_covering_mis(nbr, free)
+    upper = (1 << n) - (1 << n // 2)
+    return count_covering_mis(link_masks(seed, upper), upper & ~mask_blocked(seed))
 
 
 def test_split_balance(monkeypatch):
@@ -483,6 +483,40 @@ def test_single_even_census_values():
     for n in range(4, 15):
         c = single_even_census(n)
         assert c.lower <= c.f_prime_max <= c.upper
+
+
+def test_single_even_census_matches_the_walk():
+    # the census takes f'_max from the seeds {x} on the odds; the walk,
+    # filtered to the maximal sets with exactly one even member, is the
+    # independent count
+    for n in range(1, 25):
+        want = sum(1 for s in enumerate_maximal_sum_free(n)
+                   if sum(1 for x in s if x % 2 == 0) == 1)
+        assert single_even_census(n).f_prime_max == want, n
+    assert [single_even_census(n).f_prime_max for n in (20, 24, 27, 30)] == [
+        58, 144, 286, 515]
+
+
+def test_one_blocked_mask_per_seed(monkeypatch):
+    # a seed's blocked mask gives both its open elements and its link
+    # graph's loops, so it is computed once per seed
+    calls = []
+
+    def counting(mask):
+        calls.append(mask)
+        return mask_blocked(mask)
+
+    for module in (census, linkgraph):
+        monkeypatch.setattr(module, "mask_blocked", counting)
+    n = 24
+    seeds = len(sum_free_subsets_of(range(1, n // 2 + 1)))
+    assert seeds == 369
+    branch_counts(n)
+    assert len(calls) == seeds
+    calls.clear()
+    two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
+                       IntSubset.of(n, range(n // 2 + 1, n + 1)), n)
+    assert len(calls) == seeds
 
 
 def test_even_link_sums():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sumfree
-from sumfree import checks, constructions
+from sumfree import cache, checks, constructions
 from sumfree.cache import cache_key, cache_lookup, cache_store
 from sumfree.cli import ENUMERATE_MAX_N, MAX_WORKERS, run
 from sumfree.constructions import FAMILY_MAX_MEMBERS, FAMILY_MAX_ORDER
@@ -148,11 +148,14 @@ def test_env_var_cache_dir(capsys, tmp_path, monkeypatch):
     assert list(target.glob("*.json"))
 
 
-def test_cache_version_tag_invalidates(cache_dir):
-    cache_store(cache_dir, "enumerate", {"n": 5}, {"f": 1}, version="v1")
-    assert cache_lookup(cache_dir, "enumerate", {"n": 5}, version="v1") == {"f": 1}
-    assert cache_lookup(cache_dir, "enumerate", {"n": 5}, version="v2") is None
-    assert cache_key("op", {"n": 5}, "v1") != cache_key("op", {"n": 5}, "v2")
+def test_cache_version_tag_invalidates(cache_dir, monkeypatch):
+    monkeypatch.setattr(cache, "VERSION_TAG", "v1")
+    cache_store(cache_dir, "enumerate", {"n": 5}, {"f": 1})
+    assert cache_lookup(cache_dir, "enumerate", {"n": 5}) == {"f": 1}
+    key = cache_key("op", {"n": 5})
+    monkeypatch.setattr(cache, "VERSION_TAG", "v2")
+    assert cache_lookup(cache_dir, "enumerate", {"n": 5}) is None
+    assert cache_key("op", {"n": 5}) != key
 
 
 def test_workers_flag_same_output(capsys, cache_dir):
@@ -333,6 +336,18 @@ def test_usage_errors(capsys):
     assert (code, out, err) == (2, "", "error: index3 needs --group\n")
     code, out, err = invoke(capsys, "link", "--n", "12")
     assert (code, out, err) == (2, "", "error: link needs --m or --even\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("mis", "--family", "path"), "graph family 'path' is not one of "
+     "path:N, cycle:N, matching:K, complete:N, prism"),
+    (("mis", "--family", "prism:5"), "graph family 'prism:5' is not one of "
+     "path:N, cycle:N, matching:K, complete:N, prism"),
+    (("link", "--n", "10", "--m", "3", "--s", "1,,2"),
+     "--s must be comma-separated integers, not '1,,2'"),
+])
+def test_malformed_spec_names_the_spec(capsys, argv, reason):
+    assert invoke(capsys, *argv) == (2, "", f"error: {reason}\n")
 
 
 def test_enumerate_work_limit_is_a_usage_error(capsys):
