@@ -9,7 +9,6 @@ from .intset import (
     is_maximal_sum_free,
     is_sum_free,
     schur_triple_count,
-    unordered_schur,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "is_maximal_sum_free",
     "is_sum_free",
     "schur_triple_count",
-    "unordered_schur",
 ]
 
 __version__ = "0.1.0"

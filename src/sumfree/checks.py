@@ -15,10 +15,12 @@ exact bound inequalities, and the window-shift self-similarity.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .census import (
     EVEN_LINK_LIMITS,
@@ -63,20 +65,34 @@ class CheckReport:
         return not self.failures
 
 
-def _report(
-    name: str,
-    started: float,
-    instances: int,
-    failures: list[str],
-    notes: Iterable[str] = (),
-) -> CheckReport:
-    return CheckReport(
-        name,
-        instances,
-        tuple(failures),
-        (time.perf_counter() - started) * 1000.0,
-        tuple(notes),
-    )
+CheckFn = Callable[..., CheckReport]
+
+# name -> check, in definition order: the order `verify --all` prints
+ALL_CHECKS: dict[str, CheckFn] = {}
+SEEDED_CHECKS: set[str] = set()
+
+
+def _check(name: str) -> Callable[[Callable[..., tuple]], CheckFn]:
+    """Register a check under `name`.  Its body returns (instances,
+    failures) or (instances, failures, notes); the registered function times
+    the body and returns its `CheckReport`.  A body with a `seed` parameter
+    is run with `verify`'s seed."""
+
+    def register(body: Callable[..., tuple]) -> CheckFn:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CheckReport:
+            started = time.perf_counter()
+            instances, failures, *notes = body(*args, **kwargs)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            return CheckReport(name, instances, tuple(failures), elapsed_ms,
+                               tuple(notes[0]) if notes else ())
+
+        ALL_CHECKS[name] = run
+        if "seed" in inspect.signature(body).parameters:
+            SEEDED_CHECKS.add(name)
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +107,10 @@ def _random_sum_free(rng: random.Random, n: int, tries: int = 60) -> list[int]:
     return list(iter_mask(mask))
 
 
-def check_link_triangle_free(
-    trials: int = 400, n_max: int = 40, seed: int = 0
-) -> CheckReport:
+@_check("link-triangle-free")
+def check_link_triangle_free(trials: int = 400, n_max: int = 40, seed: int = 0) -> tuple:
     """A sum-free S entirely below B always yields a triangle-free link
     graph on B."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(trials):
@@ -108,16 +122,16 @@ def check_link_triangle_free(
         g = link_graph_ints(s, b)
         if not is_triangle_free(g):
             failures.append(f"triangle in link graph: S={s}, B={b}")
-    return _report("link-triangle-free", started, trials, failures)
+    return trials, failures
 
 
-def check_two_step_mis(n_max: int = 20) -> CheckReport:
+@_check("two-step-mis")
+def check_two_step_mis(n_max: int = 20) -> tuple:
     """The two-step route, each sum-free S in [n/2] joined with every maximal
     independent set of its link graph on the upper half, lists exactly the
     maximal sum-free sets of [n] that the pruned walk lists.  A walk set M
     missing from the join means M's upper part is not a MIS of the link
     graph of M's lower part, or the join's open-element cover cut it."""
-    started = time.perf_counter()
     failures: list[str] = []
     instances = 0
     for n in range(2, n_max + 1):
@@ -130,7 +144,7 @@ def check_two_step_mis(n_max: int = 20) -> CheckReport:
                      for m in walked if m not in in_join]
         failures += [f"n={n}, M={m.members}: joined but not listed by the walk"
                      for m in joined if m not in in_walk]
-    return _report("two-step-mis", started, instances, failures)
+    return instances, failures
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +202,10 @@ def bounds_corpus(seed: int = 0, random_count: int = 420) -> list[tuple[str, Gra
     return corpus
 
 
-def check_mis_bounds(seed: int = 0, random_count: int = 420) -> CheckReport:
+@_check("mis-bounds")
+def check_mis_bounds(seed: int = 0, random_count: int = 420) -> tuple:
     """Every applicable counting bound holds, with exact MIS counts, on a
     corpus of structured and random graphs."""
-    started = time.perf_counter()
     failures: list[str] = []
     corpus = bounds_corpus(seed, random_count)
     for tag, g, p3_limit in corpus:
@@ -202,13 +216,7 @@ def check_mis_bounds(seed: int = 0, random_count: int = 420) -> CheckReport:
                     f"{tag}: bound {c.name} violated (exact={certs.exact},"
                     f" bound_log2={c.bound_log2})"
                 )
-    return _report(
-        "mis-bounds",
-        started,
-        len(corpus),
-        failures,
-        notes=(f"corpus size {len(corpus)}",),
-    )
+    return len(corpus), failures, [f"corpus size {len(corpus)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +235,8 @@ def _is_path_graph(g: Graph) -> bool:
     return degs[0] == degs[1] == 1 and all(d == 2 for d in degs[2:])
 
 
-def check_even_link_decomposition(
-    n_list: Sequence[int] = (16, 20, 24, 28, 32),
-) -> CheckReport:
+@_check("even-link-decomposition")
+def check_even_link_decomposition(n_list: Sequence[int] = (16, 20, 24, 28, 32)) -> tuple:
     """Exact structure of the single-even link graphs on the odds.
 
     For even m > 2n/3 the graph is (n-m)/2 three-vertex paths plus a
@@ -240,7 +247,6 @@ def check_even_link_decomposition(
     m/2 of at least 2), which yields many disjoint 3-vertex paths and the
     corresponding packing bound.
     """
-    started = time.perf_counter()
     failures: list[str] = []
     instances = 0
     for n in n_list:
@@ -295,10 +301,11 @@ def check_even_link_decomposition(
             failures.append(f"n={n}: geometric form mismatch")
         if sums.restricted != sums.restricted_formula:
             failures.append(f"n={n}: restricted sum != per-term formula sum")
-    return _report("even-link-decomposition", started, instances, failures)
+    return instances, failures
 
 
-def check_even_link_constants(n_max: int = 32) -> CheckReport:
+@_check("even-link-constants")
+def check_even_link_constants(n_max: int = 32) -> tuple:
     """Residue-class behaviour of sum over evens x of MIS(L_x[odds]).
 
     Hard assertions: the per-term closed form for every even m > 2n/3, the
@@ -306,7 +313,6 @@ def check_even_link_constants(n_max: int = 32) -> CheckReport:
     toward its limit 3.  The distance of the full-sum ratio from its limit
     constant is fitted as c * 2^{-n/12} and reported, not asserted.
     """
-    started = time.perf_counter()
     failures: list[str] = []
     instances = 0
     fitted: dict[int, float] = {}
@@ -330,12 +336,12 @@ def check_even_link_constants(n_max: int = 32) -> CheckReport:
     for (n1, r1), (n2, r2) in zip(restricted_ratios, restricted_ratios[1:]):
         if not (r1 <= r2 <= 3.0):
             failures.append(f"restricted ratio not climbing: {n1}:{r1} {n2}:{r2}")
-    notes = tuple(
+    notes = [
         f"residue {i}: limit {EVEN_LINK_LIMITS[i]:.4f},"
         f" fitted err c = {fitted.get(i, 0.0):.3f}"
         for i in sorted(fitted)
-    )
-    return _report("even-link-constants", started, instances, failures, notes)
+    ]
+    return instances, failures, notes
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +408,11 @@ def default_shift_grid() -> list[tuple[int, int, int, tuple[int, ...], int]]:
     return grid
 
 
-def check_shift_isomorphism(
-    grid: Optional[Sequence[tuple]] = None,
-) -> CheckReport:
+@_check("shift-isomorphism")
+def check_shift_isomorphism(grid: Optional[Sequence[tuple]] = None) -> tuple:
     """Growing n by 4*ell (with the minimum offset t and the near-n/2
     fringe fixed relative to the window) adds exactly an ell-edge matching
     to the upper-half link graph, via the explicit four-interval map."""
-    started = time.perf_counter()
     tuples = list(grid) if grid is not None else default_shift_grid()
     failures: list[str] = []
     for w, n, t, s0, ell in tuples:
@@ -421,24 +425,18 @@ def check_shift_isomorphism(
             failures.append(f"W={w}, n={n}, t={t}, S0={s0}, l={ell}: map fails")
         if not search_ok:
             failures.append(f"W={w}, n={n}, t={t}, S0={s0}, l={ell}: search fails")
-    return _report(
-        "shift-isomorphism",
-        started,
-        len(tuples),
-        failures,
-        notes=(f"grid size {len(tuples)}",),
-    )
+    return len(tuples), failures, [f"grid size {len(tuples)}"]
 
 
 # ---------------------------------------------------------------------------
 
 
-def check_single_even_sandwich(n_max: int = 18) -> CheckReport:
+@_check("single-even-sandwich")
+def check_single_even_sandwich(n_max: int = 18) -> tuple:
     """The count of maximal sets with exactly one even member sits between
     the single-even link sums and their pairwise-corrected lower form; and
     any maximal extension of x + (maximal independent set of L_x[odds])
     adds only even numbers."""
-    started = time.perf_counter()
     failures: list[str] = []
     instances = 0
     for n in range(4, n_max + 1):
@@ -464,14 +462,14 @@ def check_single_even_sandwich(n_max: int = 18) -> CheckReport:
                                 failures.append(
                                     f"n={n}, x={x}, I={ind}: odd growth {e}"
                                 )
-    return _report("single-even-sandwich", started, instances, failures)
+    return instances, failures
 
 
-def check_cycle_recurrence(m_max: int = 24, bound_max: int = 64) -> CheckReport:
+@_check("cycle-recurrence")
+def check_cycle_recurrence(m_max: int = 24, bound_max: int = 64) -> tuple:
     """MIS(C_m) = MIS(C_{m-2}) + MIS(C_{m-3}) with both sides counted
     exactly, and MIS(C_m) < 2^{0.49 m} for 4 <= m <= bound_max (including
     disjoint unions of cycles of length >= 4)."""
-    started = time.perf_counter()
     failures: list[str] = []
     instances = 0
     exact = {m: count_mis(cycle(m)) for m in range(3, m_max + 1)}
@@ -496,7 +494,7 @@ def check_cycle_recurrence(m_max: int = 24, bound_max: int = 64) -> CheckReport:
         instances += 1
         if prod**100 >= 2 ** (49 * total):
             failures.append(f"cycle-union bound fails for {parts}")
-    return _report("cycle-recurrence", started, instances, failures)
+    return instances, failures
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +516,11 @@ def _two_step_terms(grp: AbelianGroup) -> tuple[int, int, int]:
     return len(b), seeds, sum(maximal for _, maximal in walked)
 
 
-def check_group_two_step_bound(descs: Optional[Sequence[str]] = None) -> CheckReport:
+@_check("group-two-step-bound")
+def check_group_two_step_bound(descs: Optional[Sequence[str]] = None) -> tuple:
     """Two-step counting bound for groups: with B a maximum sum-free set
     and C the remaining non-zero elements, the number of maximal sum-free
     subsets is at most (number of sum-free seeds in C) * 3^{|B|/3}."""
-    started = time.perf_counter()
     failures: list[str] = []
     names = list(descs) if descs is not None else default_group_splits()
     for desc in names:
@@ -530,26 +528,7 @@ def check_group_two_step_bound(descs: Optional[Sequence[str]] = None) -> CheckRe
         # fmax <= seeds * 3^{|B|/3}, exactly: fmax^3 <= seeds^3 * 3^{|B|}
         if fmax**3 > seeds**3 * 3**b:
             failures.append(f"{desc}: two-step bound fails ({fmax} vs {seeds})")
-    return _report("group-two-step-bound", started, len(names), failures)
-
-
-# ---------------------------------------------------------------------------
-
-CheckFn = Callable[..., CheckReport]
-
-ALL_CHECKS: dict[str, CheckFn] = {
-    "link-triangle-free": check_link_triangle_free,
-    "two-step-mis": check_two_step_mis,
-    "mis-bounds": check_mis_bounds,
-    "even-link-decomposition": check_even_link_decomposition,
-    "even-link-constants": check_even_link_constants,
-    "shift-isomorphism": check_shift_isomorphism,
-    "single-even-sandwich": check_single_even_sandwich,
-    "cycle-recurrence": check_cycle_recurrence,
-    "group-two-step-bound": check_group_two_step_bound,
-}
-
-SEEDED_CHECKS = {"link-triangle-free", "mis-bounds"}
+    return len(names), failures
 
 
 def run_check(name: str, seed: int = 0) -> CheckReport:

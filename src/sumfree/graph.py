@@ -230,14 +230,12 @@ def disjoint_p3_packing(g: Graph, exact_limit: int = 30) -> int:
     """
     n = g.num_vertices
     if n <= exact_limit:
-        return sum(
-            _p3_exact(c.nbr, c.num_vertices) for c in connected_components(g)
-        )
+        return sum(_p3_exact(g.nbr, comp) for comp in component_masks(g.nbr))
     return _p3_greedy(g)
 
 
-def _p3_exact(nbr: Sequence[int], n: int) -> int:
-    full = (1 << n) - 1
+def _p3_exact(nbr: Sequence[int], within: int) -> int:
+    """Most disjoint 3-vertex paths inside the index mask `within`."""
     memo: dict[int, int] = {}
 
     def rec(free: int) -> int:
@@ -263,7 +261,7 @@ def _p3_exact(nbr: Sequence[int], n: int) -> int:
         memo[free] = best
         return best
 
-    return rec(full)
+    return rec(within)
 
 
 def _p3_greedy(g: Graph) -> int:

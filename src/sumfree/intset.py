@@ -124,11 +124,6 @@ class IntSubset:
         return self.mask.bit_count()
 
 
-def unordered_schur(a: int, b: int, c: int) -> bool:
-    """Whether {a, b, c} forms a Schur triple under some ordering."""
-    return a + b == c or a + c == b or b + c == a
-
-
 def is_sum_free(s: IntSubset) -> bool:
     return mask_is_sum_free(s.mask)
 

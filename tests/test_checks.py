@@ -36,7 +36,8 @@ from sumfree.intset import IntSubset
 
 
 def test_registry_names():
-    assert set(ALL_CHECKS) == {
+    # registry order is the order `verify --all` prints
+    assert list(ALL_CHECKS) == [
         "link-triangle-free",
         "two-step-mis",
         "mis-bounds",
@@ -46,7 +47,9 @@ def test_registry_names():
         "single-even-sandwich",
         "cycle-recurrence",
         "group-two-step-bound",
-    }
+    ]
+    assert checks.SEEDED_CHECKS == {"link-triangle-free", "mis-bounds"}
+    assert run_check("cycle-recurrence").name == "cycle-recurrence"
     with pytest.raises(KeyError):
         run_check("no-such-check")
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
     are_isomorphic,
@@ -73,6 +74,14 @@ def test_p3_packing():
     assert disjoint_p3_packing(path(6)) == 2
     # greedy fallback still certifies a lower bound
     assert disjoint_p3_packing(path(40), exact_limit=10) >= 13
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_p3_packing_is_the_sum_over_components(seed):
+    for tag, g, lim in bounds_corpus(seed, 420):
+        if g.num_vertices <= lim:  # the exact route; greedy runs on all of g
+            want = sum(disjoint_p3_packing(c, exact_limit=lim) for c in connected_components(g))
+            assert disjoint_p3_packing(g, exact_limit=lim) == want, tag
 
 
 def test_isomorphism_map():

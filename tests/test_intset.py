@@ -15,7 +15,6 @@ from sumfree.intset import (
     mask_can_add,
     mask_is_sum_free,
     schur_triple_count,
-    unordered_schur,
 )
 
 subsets = st.integers(min_value=1, max_value=24).flatmap(
@@ -30,14 +29,6 @@ subsets = st.integers(min_value=1, max_value=24).flatmap(
 def test_ground_set_rejects_nonpositive():
     with pytest.raises(ValueError):
         GroundSet(0)
-
-
-@pytest.mark.parametrize(
-    ("a", "b", "c", "expected"),
-    [(5, 3, 2, True), (4, 2, 2, True), (7, 2, 3, False)],
-)
-def test_unordered_schur(a, b, c, expected):
-    assert unordered_schur(a, b, c) is expected
 
 
 def test_sum_free_examples():

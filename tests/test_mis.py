@@ -12,6 +12,7 @@ from sumfree import mis
 from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
+    _bits,
     cycle,
     disjoint_union,
     induced_subgraph,
@@ -323,3 +324,33 @@ def test_bound_verdicts_equal_integer_comparisons(monkeypatch):
     assert max(expo.denominator for _, _, expo, _ in calls) == 125000
     for count, base, expo, verdict in calls:
         assert verdict == exact_leq_power(count, base, expo), (count, base, expo)
+
+
+def restart_scan_triangle_free_part(g):
+    """Reference greedy: rescan from the first vertex after every removal."""
+    n = g.num_vertices
+    active = (1 << n) - 1
+    while True:
+        tri = None
+        for i in range(n):
+            if not active >> i & 1:
+                continue
+            mi = g.nbr[i] & active
+            for j in _bits(mi >> (i + 1) << (i + 1)):
+                common = mi & g.nbr[j] & active
+                if common:
+                    k = (common & -common).bit_length() - 1
+                    tri = (i, j, k)
+                    break
+            if tri:
+                break
+        if tri is None:
+            return active
+        drop = max(tri, key=lambda v: (g.nbr[v] & active).bit_count())
+        active &= ~(1 << drop)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangle_free_part_matches_the_restart_scan(seed):
+    for tag, g, _ in bounds_corpus(seed, 420):
+        assert mis._triangle_free_part(g) == restart_scan_triangle_free_part(g), tag
