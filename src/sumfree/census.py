@@ -2,14 +2,15 @@
 
 Two independent routes are provided and cross-checked:
 
-* oracle: the sorted array of the sum-free masks of [n], and only those,
-  in numpy, which only this route imports.  Sum-freeness satisfies a
-  one-step recurrence on the least x of a mask m (m is sum-free iff m - x
-  is, x + x is not in m, and no member plus x lands in m), so one filter and
-  one concatenation per x, x = n down to 1, grow the array; maximality is
-  then one binary search per element of [n].
+* oracle: the array of the sum-free masks of [n], and only those, in
+  numpy, which only this route imports.  Sum-freeness satisfies a one-step
+  recurrence on the least x of a mask m (m is sum-free iff m - x is, x + x
+  is not in m, and no member plus x lands in m), so one filter and one
+  concatenation per x, x = n down to 1, grow the array.  Beside each mask
+  the same step carries the elements that can join it, so the maximal
+  masks are those with none, and nothing is looked up or sorted.
 * branch: one pass over the sum-free seeds S = M ∩ [n/2], which scales past
-  the oracle's n = 36.  A seed's share of f counts the independent sets of
+  the oracle's n = 44.  A seed's share of f counts the independent sets of
   its link graph on the upper half, its share of f_max (in one pruned
   search, none listed) the maximal ones that also block every lower element
   S leaves open.  Chunks of seeds are the tasks of a process pool.
@@ -50,10 +51,12 @@ from .mis import (EnumerationLimitError, count_covering_mis, count_independent,
 if TYPE_CHECKING:
     import numpy as np
 
-# f(36) = 3540355 masks: oracle_counts(36) takes about 1.3 s and a 154 MB
-# peak RSS (whole process) on a 2-core Intel Xeon, Python 3.11.7, numpy
-# 2.4.6; the table grows about 1.43x per n
-ORACLE_MAX_N = 36
+# f(44) = 55560183 masks: oracle_counts(44) takes 9.3 s and a 1425 MB peak
+# RSS (fresh process, getrusage) on a 2-core Intel Xeon, Python 3.11.7, numpy
+# 2.4.6; 38, 40, 42 took 1.0, 2.3, 4.3 s and 229, 419, 791 MB.  Both about
+# double per +2, so 46 (not run) would exceed a 2 GB peak budget; going past
+# 44 needs the table grown in place instead of concatenated per step
+ORACLE_MAX_N = 44
 
 
 # ---------------------------------------------------------------------------
@@ -61,39 +64,49 @@ ORACLE_MAX_N = 36
 # ---------------------------------------------------------------------------
 
 
-def sum_free_mask_table(n: int) -> np.ndarray:
-    """The sum-free masks of [n] (element x at bit x - 1), as a sorted int64
-    array; the empty mask 0 is the first entry."""
+def _oracle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sum-free masks of [n] (element x at bit x - 1) as an int64 array
+    in growth order, the empty mask 0 first, and beside each mask m the
+    int64 mask of the elements e outside m that leave m | {e} sum-free."""
     import numpy as np
     if not 1 <= n <= ORACLE_MAX_N:
         raise ValueError(f"oracle sweep supports 1 <= n <= {ORACLE_MAX_N}")
+    full = (1 << n) - 1
     table = np.zeros(1, dtype=np.int64)
+    ext = np.zeros(1, dtype=np.int64)
     for x in range(n, 0, -1):
-        # table: the sum-free masks with every element above x; each one is
-        # the rest of a sum-free mask with minimum x iff no member y has
-        # y + x in it and x + x is not in it
-        ok = (table & (table >> x)) == 0
-        ok &= ((table >> (2 * x - 1)) & 1) == 0
-        table = np.concatenate((table, table[ok] | (1 << (x - 1))))
+        # table: the sum-free masks with every element above x, ext their
+        # joinable elements above x; a mask p takes x iff no member y has
+        # y + x in p and x + x is not in p, and then p | {x} can take an
+        # e > x iff p can, e != x + x and neither e - x nor e + x is in p
+        bit, twice = 1 << (x - 1), (1 << (2 * x - 1)) & full
+        ok = (table & (table >> x | twice)) == 0
+        rest = table[ok]
+        grown = ext[ok] & ~(rest << x | rest >> x | twice) & full
+        np.bitwise_or(ext, bit, out=ext, where=ok)
+        rest |= bit
+        table = np.concatenate((table, rest))
+        ext = np.concatenate((ext, grown))
+    return table, ext
+
+
+def sum_free_mask_table(n: int) -> np.ndarray:
+    """The sum-free masks of [n] (element x at bit x - 1), as a sorted int64
+    array; the empty mask 0 is the first entry.  The oracle's own table,
+    sorted here only, for the tests and the benchmark's probe."""
+    table = _oracle_table(n)[0]
     table.sort()
     return table
 
 
 def oracle_counts(n: int) -> tuple[int, int]:
-    """(f(n), f_max(n)) from the sum-free masks.  Maximality is read off them
-    by the definition, no single added element leaves the set sum-free, so
-    the route stays independent of the branch walk."""
-    import numpy as np
-    masks = sum_free_mask_table(n)
-    last = masks.size - 1
-    maximal = masks
-    # a large element extends most sets, so going down sheds them soonest
-    for b in range(n - 1, -1, -1):
-        grown = maximal | (1 << b)
-        # grown is the mask itself (b already in it) or must be missing
-        found = masks[np.minimum(np.searchsorted(masks, grown), last)] == grown
-        maximal = maximal[(grown == maximal) | ~found]
-    return int(masks.size), int(maximal.size)
+    """(f(n), f_max(n)): the number of sum-free masks and of those with no
+    joinable element, which is maximality by the definition (no single
+    added element leaves the set sum-free).  The joinable elements come
+    from the same least-element recurrence that grows the table, so the
+    route shares no code with the branch walk or the link graphs."""
+    table, ext = _oracle_table(n)
+    return int(table.size), int((ext == 0).sum())
 
 
 def f_oracle(n: int) -> int:

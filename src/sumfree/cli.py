@@ -80,8 +80,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="f(n) and f_max(n)", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help=f"build the sorted array of all sum-free subsets of [n] "
-                        f"(n <= {census.ORACLE_MAX_N})")
+                   help=f"build the array of all sum-free subsets of [n], each with "
+                        f"the elements that can join it (n <= {census.ORACLE_MAX_N})")
 
     p = sub.add_parser("mis", help="count maximal independent sets", parents=[common])
     src = p.add_mutually_exclusive_group(required=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import (
     Graph,
@@ -62,10 +62,7 @@ def count_covering_mis(nbr: Sequence[int], free: int, cover: Sequence[tuple[int,
     if free.bit_count() > limit:
         raise EnumerationLimitError(
             f"{free.bit_count()} loop-free vertices exceeds the limit {limit}")
-    if cover:
-        return _search(nbr, cover)(free, 0, 0)
-    rec = _search(nbr)
-    return math.prod(rec(comp, 0, 0) for comp in component_masks(nbr, free))
+    return _search(nbr, [free] if cover else component_masks(nbr, free), cover)
 
 
 def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
@@ -78,7 +75,7 @@ def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = 
     if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free, cover) > cap:
         raise EnumerationLimitError(f"more than {cap} maximal independent sets")
     sets: list[int] = []
-    _search(nbr, cover, out=sets)(free, 0, 0)
+    _search(nbr, [free], cover, out=sets)
     return sets
 
 
@@ -111,13 +108,14 @@ def _independent(c: int, nbr: Sequence[int], memo: dict[int, int]) -> int:
     return hit
 
 
-def _search(nbr: Sequence[int], cover: Sequence[tuple[int, int]] = (),
-            out: Optional[list[int]] = None):
-    """`rec`, with `rec(cand, excl, chosen)` the number of maximal independent
-    sets that add vertices of `cand` to `chosen`, dominate `excl` and meet
-    `cover`, each appended to `out` if given.  They lie in reach = chosen |
-    cand, so a branch whose reach fails a pair counts 0 (at a leaf, reach is
-    the set).  A plain count depends on (cand, excl) only and is memoised on
+def _search(nbr: Sequence[int], roots: Iterable[int], cover: Sequence[tuple[int, int]] = (),
+            out: Optional[list[int]] = None) -> int:
+    """The product of `rec(root, 0, 0)` over the vertex masks in `roots`, with
+    `rec(cand, excl, chosen)` the number of maximal independent sets that
+    add vertices of `cand` to `chosen`, dominate `excl` and meet `cover`,
+    each appended to `out` if given.  They lie in reach = chosen | cand, so
+    a branch whose reach fails a pair counts 0 (at a leaf, reach is the
+    set).  A plain count depends on (cand, excl) only and is memoised on
     it.  The branches are the candidates in the closed neighbourhood of the
     pivot, the vertex of cand | excl with the fewest neighbours in cand (the
     lowest on ties, for a reproducible order)."""
@@ -161,7 +159,11 @@ def _search(nbr: Sequence[int], cover: Sequence[tuple[int, int]] = (),
             memo[key] = total
         return total
 
-    return rec
+    total = math.prod(rec(root, 0, 0) for root in roots)
+    # rec reaches itself through its closure cell: emptying the cell frees it
+    # and its memo on return, not at the next cyclic GC
+    del rec
+    return total
 
 
 _CYCLE_BASE: dict[int, int] = {}

@@ -63,14 +63,36 @@ def test_oracle_table_matches_definition():
         assert oracle_counts(n) == (table.size, f_max)
 
 
+def test_oracle_carries_each_masks_joinable_elements():
+    for n in range(1, 15):
+        table, ext = census._oracle_table(n)
+        for m, joinable in zip(table.tolist(), ext.tolist()):
+            want = sum(1 << x for x in range(n)
+                       if not m >> x & 1 and mask_is_sum_free(m | 1 << x))
+            assert joinable == want, (n, m)
+
+
+def test_oracle_maximal_masks_are_the_walks():
+    for n in range(1, 21):
+        table, ext = census._oracle_table(n)
+        want = {s.mask for s in enumerate_maximal_sum_free(n)}
+        assert set(table[ext == 0].tolist()) == want, n
+
+
 def test_oracle_limit():
     with pytest.raises(ValueError):
-        f_oracle(37)
+        f_oracle(45)
 
 
 def test_oracle_is_a_second_route_for_the_walk_at_32():
     # the walk's f(32) and f_max(32), as pinned by the walk workload
     assert oracle_counts(32) == (849877, 8547)
+
+
+def test_oracle_is_a_second_route_for_the_two_step_listing_at_36():
+    # the two-step workload's 23404 maximal sets, otherwise pinned by the
+    # branch route alone
+    assert oracle_counts(36) == (3540355, 23404)
 
 
 def test_branch_matches_oracle():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,21 @@ def test_cap_counts_the_covered_sets():
     assert len(mis_masks(g.nbr, _free(g), cover, cap=4)) == 4
     with pytest.raises(EnumerationLimitError):
         mis_masks(g.nbr, _free(g), cover, cap=3)
+
+
+def test_searches_leave_no_reference_cycle():
+    # each search's memo is freed when the call returns, not by the cyclic GC
+    g = cycle(9)
+    gc.collect()
+    gc.disable()
+    try:
+        count_mis(g)
+        count_covering_mis(g.nbr, _free(g), [(1, 1)])
+        mis_masks(g.nbr, _free(g))
+        count_independent(g.nbr, _free(g))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(random_graphs(6), random_graphs(6))
