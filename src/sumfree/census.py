@@ -20,10 +20,11 @@ and the cover of the elements it leaves open), serves the branch counts, the
 two-step listing (seeds in one part joined with maximal independent sets of
 their link graphs on the other) and the census of maximal sets with exactly
 one even member (the seeds {x} on the odds).  The prefix-tree walk keeps
-each node's blocked mask (sums, differences, halves), so a childless node is
-maximal iff one AND comes out empty, and cuts subtrees where an open element
-can no longer be blocked; it lists the maximal sets and the seeds, and
-cross-checks the routes above in the tests and the two-step-mis check.
+each node's blocked mask (sums, differences, halves) and cuts every subtree
+where an open element can no longer be blocked, so each leaf it reaches is
+maximal; it lists the maximal sets, which cross-check the routes above in
+the tests and the two-step-mis check.  The seeds are listed level by level
+with the walk's child rule and none of its other state.
 Also here: the single-even sandwich, the even-link sums whose 2^{n/4} ratios
 stabilise by residue class, and a census of sets with small sumset.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from .intset import (
     GroundSet,
@@ -133,67 +134,41 @@ def f_max_oracle(n: int) -> int:
 _CHUNKS_PER_WORKER = 16  # the heaviest then holds 4.7% of the MISs at n = 24
 
 
-def _walker(
-    n: int, universe: int, out: Optional[list] = None, maximal_only: bool = False
-):
-    """The prefix-tree recursion over sum-free subsets of [n]; from the root
-    `(allowed, 0, 0, 0)` it walks the sum-free subsets of `allowed`.
+def _maximal_walk(n: int, universe: int, out: list, cand: int, mask: int,
+                  blocked: int, rev: int) -> None:
+    """Appends to `out`, in preorder, the maximal sum-free subsets of
+    `universe` below the walk node: the sets S | T, T a subset of cand.  The
+    universe must contain every candidate; from the root `(universe, 0, 0,
+    0)` the walk lists all of its maximal sets.
 
-    `walk(*node)` returns (nodes, f_max) of the node's subtree in one pass,
-    maximality taken in `universe`, which must contain every candidate: a
-    node with a child is then never maximal, and a childless node is
-    maximal iff no element of the universe outside S escapes `blocked`.
-    Maximal masks are appended to `out` when it is given.  With a `depth`,
-    the nodes that many levels down go to `frontier` unwalked and count 0.
-
-    Unpruned, nodes is f of the subtree.  `maximal_only` cuts every subtree
-    that holds no maximal set, as a node counting 1: an open y (in the
-    universe, not in S, blocked or cand) lies below every later element, so
-    only a z in cand with z = 2y or z - y in S | cand can block it, and when
-    no z is, no set below the node is maximal.
+    A subtree with no maximal set is cut: an open y (in the universe, not in
+    S, blocked or cand) lies below every later element, so only a z in cand
+    with z = 2y or z - y in S | cand can block it, and when no z is, no set
+    below the node is maximal.  A childless node then has no open y, so it
+    is maximal.
 
     Started at a seed S in [n/2] with cand in (n/2, n] (the open y then
-    include the unblocked elements of (max S, n/2]), it gives the seed's
+    include the unblocked elements of (max S, n/2]), it lists the seed's
     share of f_max by a route other than `_seed_counts`; the tests compare.
     """
-    top = n + 1
-    halves = [0 if x % 2 else 1 << x // 2 >> 1 for x in range(top)]  # bit of x/2
-
-    def walk(cand, mask, blocked, rev, depth=-1, frontier=None):
-        if maximal_only:
-            reach = mask | cand
-            opened = universe & ~mask & ~blocked & ~cand
-            while opened:
-                low = opened & -opened
-                opened ^= low
-                if not cand & (reach | low) << low.bit_length():
-                    return 1, 0
-        if not depth:
-            frontier.append((cand, mask, blocked, rev))
-            return 0, 0
-        if not cand:
-            if universe & ~mask & ~blocked:
-                return 1, 0
-            if out is not None:
-                out.append(mask)
-            return 1, 1
-        nodes, f_max = 1, 0
-        depth -= 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length()
-            t = mask | low
-            tx = t << x
-            blocked_t = blocked | tx | (rev >> (top - x)) | halves[x]
-            sub_nodes, sub_max = walk(
-                cand & ~tx, t, blocked_t, rev | 1 << (n - x), depth, frontier
-            )
-            nodes += sub_nodes
-            f_max += sub_max
-        return nodes, f_max
-
-    return walk
+    reach = mask | cand
+    opened = universe & ~mask & ~blocked & ~cand
+    while opened:
+        low = opened & -opened
+        opened ^= low
+        if not cand & (reach | low) << low.bit_length():
+            return
+    if not cand:
+        out.append(mask)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length()
+        t = mask | low
+        tx = t << x
+        half = 0 if x % 2 else 1 << x // 2 >> 1
+        _maximal_walk(n, universe, out, cand & ~tx, t,
+                      blocked | tx | rev >> n + 1 - x | half, rev | 1 << n - x)
 
 
 def _seed_graph(seed: int, part: int, n: int) -> tuple[list[int], int, list, int]:
@@ -275,12 +250,17 @@ def f_max_branch(n: int, workers: int = 1) -> int:
     return branch_counts(n, workers)[1]
 
 
-def enumerate_maximal_sum_free(n: int, limit: int = 40) -> list[IntSubset]:
+# the listing holds every maximal set: n = 40 gives 62759 of them in 2.7 s
+# on a 2-core Intel Xeon, Python 3.11.7
+_ENUMERATE_MAX_N = 40
+
+
+def enumerate_maximal_sum_free(n: int) -> list[IntSubset]:
     """All maximal sum-free subsets of [n], canonically ordered."""
-    if n > limit:
-        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {limit}")
+    if n > _ENUMERATE_MAX_N:
+        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {_ENUMERATE_MAX_N}")
     out: list[int] = []
-    _walker(n, (1 << n) - 1, out, maximal_only=True)((1 << n) - 1, 0, 0, 0)
+    _maximal_walk(n, (1 << n) - 1, out, (1 << n) - 1, 0, 0, 0)
     ground = GroundSet(n)
     return [IntSubset(ground, m) for m in sorted(out, key=_mask_sort_key)]
 
@@ -294,16 +274,20 @@ def _mask_sort_key(mask: int) -> str:
 
 def sum_free_subsets_of(members: Iterable[int]) -> list[int]:
     """Masks of all sum-free subsets of a set of positive integers, by
-    increasing size."""
-    allowed = sum(1 << (x - 1) for x in set(members))
-    walk = _walker(allowed.bit_length(), allowed)
-    level = [(allowed, 0, 0, 0)]
+    increasing size: one level per size, each set S beside its walk children
+    (cand); the child S | {x} keeps the candidates above x that are not in
+    (S | {x}) + x."""
+    level = [(sum(1 << (x - 1) for x in set(members)), 0)]
     out: list[int] = []
     while level:
-        out.extend(node[1] for node in level)
+        out.extend(mask for _, mask in level)
         parents, level = level, []
-        for node in parents:
-            walk(*node, 1, level)  # its children, one level down
+        for cand, mask in parents:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                t = mask | low
+                level.append((cand & ~(t << low.bit_length()), t))
     return out
 
 
@@ -345,14 +329,19 @@ class SingleEvenCensus:
     upper: int  # sum over evens of the single-even link MIS counts
 
 
-def single_even_census(n: int, limit: int = 30) -> SingleEvenCensus:
+# n = 30 takes 0.03 s (515 sets) on a 2-core Intel Xeon, Python 3.11.7;
+# 40 and 50 took 0.12 and 0.41 s
+_SINGLE_EVEN_MAX_N = 30
+
+
+def single_even_census(n: int) -> SingleEvenCensus:
     """f'_max(n) and its sandwich.  A maximal set with exactly one even
     member x is {x} joined with a set of odds, so f'_max sums, over the
     even x, the `_seed_listing` of the seed {x} on the odds."""
-    if n > limit:
-        raise EnumerationLimitError(f"n = {n} exceeds the census limit {limit}")
+    if n > _SINGLE_EVEN_MAX_N:
+        raise EnumerationLimitError(f"n = {n} exceeds the census limit {_SINGLE_EVEN_MAX_N}")
     evens = list(range(2, n + 1, 2))
-    upper = sum(count_mis(link_single_even(n, x)) for x in evens)
+    upper = dprime_sum(n).total
     pair_sum = 0
     for i, x in enumerate(evens):
         for x2 in evens[i + 1 :]:
@@ -418,22 +407,25 @@ class SumsetCensus:
     delta: float
 
 
-# limit: 1.4e6 (s = 1) to 1.4e7 (s = 6) pair sums a second on a 2-core Intel
-# Xeon, Python 3.11.7, so a run within it ends in about 10 s (10.0 s at s = 1)
-def small_sumset_count(
-    d: int, s: int, r, delta: float = 1 / 9, limit: int = 14 * 10**6
-) -> SumsetCensus:
+# 1.4e6 (s = 1) to 1.4e7 (s = 6) pair sums a second on a 2-core Intel Xeon,
+# Python 3.11.7, so a run within the limit ends in about 10 s (10.0 s at s = 1)
+_SUMSET_MAX_PAIR_SUMS = 14 * 10**6
+
+
+def small_sumset_count(d: int, s: int, r, delta: float = 1 / 9) -> SumsetCensus:
     """Exact census of s-subsets of [d] with sumset at most r*s, next to the
     corresponding counting bound (informational: the bound's validity
     threshold in s is an unspecified constant).  An s-set has at most
     s(s+1)/2 sums, so r past (s+1)/2 admits all: r is capped at s + 1, delta
-    at 1, the pair sums at `limit` and the bound at the float range."""
+    at 1, the pair sums at `_SUMSET_MAX_PAIR_SUMS` and the bound at the float
+    range."""
     if s < 1 or d < s:
         raise ValueError("need 1 <= s <= d")
     for name, value, cap in (("r", r, s + 1), ("delta", delta, 1)):
         if not (math.isfinite(value) and 0 <= value <= cap):
             raise ValueError(f"{name} = {value} must lie in [0, {cap}]")
     pairs = s * (s + 1) // 2
+    limit = _SUMSET_MAX_PAIR_SUMS
     if pairs > limit or math.comb(d, s) * pairs > limit:
         raise EnumerationLimitError(
             f"C({d},{s}) sets of {pairs} sums each exceed the census limit {limit}")

@@ -2,8 +2,9 @@
 
 One binary, subcommand style; JSON lines are the machine format, CSV for
 tabulations.  Identical invocation and seed produce byte-identical primary
-output regardless of worker count (counts merge associatively and every
-listing is canonically sorted before printing).  Only `enumerate` caches its
+output regardless of worker count: `--workers` spreads only `enumerate`'s
+seed chunks over a process pool, whose counts merge associatively, and every
+listing is canonically sorted before printing.  Only `enumerate` caches its
 record, which it also formats as CSV and table; the rest always recompute.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or limit error.
@@ -265,16 +266,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
-        names = list(checks.ALL_CHECKS)
-        if args.workers > 1:
-            # checks are independent jobs; reports aggregate in registry
-            # order so worker count never changes the output
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                reports = list(pool.map(checks.run_check, names, [args.seed] * len(names)))
-        else:
-            reports = checks.run_all(seed=args.seed)
+        reports = checks.run_all(seed=args.seed)
     else:
         reports = [checks.run_check(args.check, seed=args.seed)]
     ok = True

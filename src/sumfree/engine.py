@@ -2,8 +2,8 @@
 
 Elements are indices 0..N-1 and `add` is the group's addition table.  The
 walk uses inverses, so `add` must be the table of an abelian group.  It is
-the group counterpart of `census._walker`: every node is a sum-free set S,
-grown in increasing index order, and carries
+the group counterpart of `census._maximal_walk`, unpruned: every node is a
+sum-free set S, grown in increasing index order, and carries
 
     blocked = {e} | (S + S) | (S - S) | {y : y + y in S}
 
@@ -45,6 +45,7 @@ def _walk(n: int, add: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], b
             members.pop()
 
     rec(full & ~(1 << identity), 0, 1 << identity)
+    del rec  # it reaches itself through its closure cell: free it now, not at a GC
     return out
 
 

@@ -230,38 +230,35 @@ def disjoint_p3_packing(g: Graph, exact_limit: int = 30) -> int:
     """
     n = g.num_vertices
     if n <= exact_limit:
-        return sum(_p3_exact(g.nbr, comp) for comp in component_masks(g.nbr))
+        return sum(_p3_exact(g.nbr, comp, {}) for comp in component_masks(g.nbr))
     return _p3_greedy(g)
 
 
-def _p3_exact(nbr: Sequence[int], within: int) -> int:
-    """Most disjoint 3-vertex paths inside the index mask `within`."""
-    memo: dict[int, int] = {}
-
-    def rec(free: int) -> int:
-        if free in memo:
-            return memo[free]
-        # branch on the lowest free vertex: skip it, or use it in some P_3
-        low = free & -free
-        if not low:
-            return 0
-        v = low.bit_length() - 1
-        best = rec(free ^ low)
-        fv = free ^ low
-        # v as an endpoint: v - b - c
-        for b in _bits(nbr[v] & fv):
-            rest = fv & ~(1 << b)
-            for c in _bits(nbr[b] & rest):
-                best = max(best, 1 + rec(rest & ~(1 << c)))
-        # v as the centre: b - v - c
-        nb = list(_bits(nbr[v] & fv))
-        for i, b in enumerate(nb):
-            for c in nb[i + 1 :]:
-                best = max(best, 1 + rec(fv & ~(1 << b) & ~(1 << c)))
-        memo[free] = best
-        return best
-
-    return rec(within)
+def _p3_exact(nbr: Sequence[int], free: int, memo: dict[int, int]) -> int:
+    """Most disjoint 3-vertex paths inside the index mask `free`, memoised
+    on the mask.  Module level, not a closure over the memo, so no reference
+    cycle keeps a finished memo alive until the next GC."""
+    if free in memo:
+        return memo[free]
+    # branch on the lowest free vertex: skip it, or use it in some P_3
+    low = free & -free
+    if not low:
+        return 0
+    v = low.bit_length() - 1
+    fv = free ^ low
+    best = _p3_exact(nbr, fv, memo)
+    # v as an endpoint: v - b - c
+    for b in _bits(nbr[v] & fv):
+        rest = fv & ~(1 << b)
+        for c in _bits(nbr[b] & rest):
+            best = max(best, 1 + _p3_exact(nbr, rest & ~(1 << c), memo))
+    # v as the centre: b - v - c
+    nb = list(_bits(nbr[v] & fv))
+    for i, b in enumerate(nb):
+        for c in nb[i + 1 :]:
+            best = max(best, 1 + _p3_exact(nbr, fv & ~(1 << b) & ~(1 << c), memo))
+    memo[free] = best
+    return best
 
 
 def _p3_greedy(g: Graph) -> int:
@@ -340,7 +337,9 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             assign[i] = -1
         return False
 
-    return extend(0)
+    found = extend(0)
+    del extend  # it reaches itself through its closure cell: free it now, not at a GC
+    return found
 
 
 def to_text(g: Graph) -> str:

@@ -129,82 +129,44 @@ def _brute_maximal(n):
     )
 
 
-def _children(walk, level):
-    # the nodes one level below `level`, through the walk's frontier
-    children = []
-    for node in level:
-        walk(*node, 1, children)
-    return children
+def _node(n, mask, low=0):
+    # the walk node of a sum-free set S whose children lie above max(S, low),
+    # by the definitions: there cand is every element not in S+S
+    sums = 0
+    for s in iter_mask(mask):
+        sums |= mask << s
+    top = max(mask.bit_length(), low)
+    rev = sum(1 << (n - s) for s in iter_mask(mask))
+    return (1 << n) - 1 & ~sums >> top << top, mask, mask_blocked(mask), rev
 
 
 def _seed_node(n, seed):
-    # the walk node of a seed S in [n/2] whose children lie in (n/2, n]:
-    # there cand is every element not in S+S, by the definitions
-    sums = 0
-    for s in iter_mask(seed):
-        sums |= seed << s
-    upper = (1 << n) - (1 << n // 2)
-    rev = sum(1 << (n - s) for s in iter_mask(seed))
-    return upper & ~sums, seed, mask_blocked(seed), rev
+    # the walk node of a seed S in [n/2] whose children lie in (n/2, n]
+    return _node(n, seed, n // 2)
 
 
-def test_walk_state_matches_definitions_node_by_node():
-    # every node the walk reaches, breadth-first through the same recursion,
-    # carries the blocked mask and the children the definitions give
+def test_walk_lists_the_maximal_sets_below_each_node():
+    # from every sum-free node of [n], and from each seed node, the walk
+    # lists exactly the maximal sets M below it (M holds S and takes its
+    # other elements from cand): its pruning cuts only subtrees without one,
+    # and its own blocked and rev updates agree with the definitions
+    nodes = 0
     for n in range(1, 15):
         universe = (1 << n) - 1
-        walk = census._walker(n, universe)
-        level = [(universe, 0, 0, 0)]
-        seen = []
-        while level:
-            for cand, mask, blocked, rev in level:
-                assert blocked == mask_blocked(mask), (n, mask)
-                top = mask.bit_length()
-                sums = 0
-                for s in iter_mask(mask):
-                    sums |= mask << s
-                assert cand == universe & ~sums >> top << top, (n, mask)
-                assert rev == sum(1 << (n - s) for s in iter_mask(mask))
-                seen.append(mask)
-            level = _children(walk, level)
-        assert sorted(seen) == sorted(
-            m for m in _submasks(universe) if mask_is_sum_free(m)
-        )
         maximal = _brute_maximal(n)
+        seeds = sum_free_subsets_of(range(1, n // 2 + 1))
+        sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
+        for node in [_node(n, m) for m in sets] + [_seed_node(n, s) for s in seeds]:
+            cand, mask = node[:2]
+            out = []
+            census._maximal_walk(n, universe, out, *node)
+            assert sorted(out) == [m for m in maximal if m & ~cand == mask], (n, mask)
+        nodes += len(sets)
         assert [s.mask for s in enumerate_maximal_sum_free(n)] == sorted(
             maximal, key=lambda m: tuple(iter_mask(m))
         )
-        assert branch_counts(n) == (len(seen), len(maximal))
-
-
-def test_prune_cuts_only_subtrees_without_maximal_sets():
-    # every sum-free set, breadth-first through the unpruned walk from the
-    # root and from each seed node, offered to the pruned walk: a node it
-    # cuts has no maximal set below it (a set M is below a node when M
-    # holds S and takes its other elements from cand), and a leaf it keeps
-    # gets the verdict of the definition
-    for n in range(1, 15):
-        universe = (1 << n) - 1
-        maximal = set(_brute_maximal(n))
-        walk = census._walker(n, universe)
-        pruned = census._walker(n, universe, maximal_only=True)
-        seeds = sum_free_subsets_of(range(1, n // 2 + 1))
-        cuts = 0
-        for start in [(universe, 0, 0, 0)] + [_seed_node(n, s) for s in seeds]:
-            level = [start]
-            while level:
-                for node in level:
-                    cand, mask = node[:2]
-                    kept = []
-                    pruned(*node, 0, kept)
-                    if not kept:
-                        cuts += 1
-                        assert not any(m & ~cand == mask for m in maximal), (n, mask)
-                    elif not cand:
-                        assert pruned(*node) == (1, int(mask in maximal)), (n, mask)
-                level = _children(walk, level)
-        assert cuts or n < 3, n
-        assert pruned(universe, 0, 0, 0)[1] == len(maximal)
+        assert branch_counts(n) == (len(sets), len(maximal))
+    assert nodes == 2498
 
 
 def test_seed_counts_match_brute_force():
@@ -225,10 +187,10 @@ def test_seed_f_max_matches_the_walk_from_each_seed():
     # link graph, is the pruned walk's from the seed node, for n past the
     # reach of the brute force
     for n in range(1, 27):
-        walk = census._walker(n, (1 << n) - 1, maximal_only=True)
         for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
-            want = walk(*_seed_node(n, seed))[1]
-            assert census._seed_counts(n, [seed])[1] == want, (n, seed)
+            walked = []
+            census._maximal_walk(n, (1 << n) - 1, walked, *_seed_node(n, seed))
+            assert census._seed_counts(n, [seed])[1] == len(walked), (n, seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,7 +227,7 @@ def test_sub_universe_walks_match_brute_force(args):
     assert len(subsets) == len(set(subsets)) and sorted(subsets) == sorted(want)
     assert sizes == sorted(sizes)
     out = []
-    census._walker(n, universe, out, maximal_only=True)(universe, 0, 0, 0)
+    census._maximal_walk(n, universe, out, universe, 0, 0, 0)
     assert sorted(out) == sorted(
         m for m in want
         if not any(mask_is_sum_free(m | 1 << (x - 1)) for x in iter_mask(universe & ~m))
@@ -445,7 +407,7 @@ def test_enumerated_sets_are_maximal():
 
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
-        enumerate_maximal_sum_free(30, limit=20)
+        enumerate_maximal_sum_free(41)
 
 
 def test_two_step_full_reproduction():
@@ -505,6 +467,13 @@ def test_single_even_census_values():
     for n in range(4, 15):
         c = single_even_census(n)
         assert c.lower <= c.f_prime_max <= c.upper
+
+
+def test_single_even_census_limit():
+    c = single_even_census(30)
+    assert (c.f_prime_max, c.lower, c.upper) == (515, -4963, 901)
+    with pytest.raises(EnumerationLimitError):
+        single_even_census(31)
 
 
 def test_single_even_census_matches_the_walk():
@@ -574,7 +543,7 @@ def test_small_sumset_census():
         if len({a + a, a + b, a + c, b + b, b + c, c + c}) <= 5
     )
     with pytest.raises(EnumerationLimitError):
-        small_sumset_count(40, 20, 3, limit=1000)
+        small_sumset_count(40, 20, 3)
 
 
 def test_restriction_monotone():

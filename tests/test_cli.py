@@ -446,6 +446,8 @@ def test_deterministic_verify_output(capsys):
 
 
 def test_verify_all_through_a_pool_matches_serial(capsys):
+    # `--workers` spreads only enumerate's seeds, so verify's output is the
+    # serial one
     def records(*argv):
         code, out, _ = invoke(capsys, "--seed", "3", *argv, "verify", "--all")
         assert code == 0
@@ -459,29 +461,14 @@ def test_verify_all_through_a_pool_matches_serial(capsys):
     assert records("--workers", "2") == serial
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: same map, no processes."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 def test_verify_pool_hands_the_seed_to_every_check(capsys, monkeypatch):
     import concurrent.futures
 
     def note_seed(name):
         return lambda seed: checks.CheckReport(name, 1, (), 0.0, (f"seed={seed}",))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    # verify runs its checks in this process whatever `--workers` says
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     monkeypatch.setattr(checks, "ALL_CHECKS", {
         name: note_seed(name) for name in sorted(checks.SEEDED_CHECKS)
     })

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import mis
+from sumfree import census, mis
 from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
     _bits,
+    are_isomorphic,
     cycle,
+    disjoint_p3_packing,
     disjoint_union,
     induced_subgraph,
     matching,
@@ -22,6 +24,7 @@ from sumfree.graph import (
     prism,
     relabel,
 )
+from sumfree.group import AbelianGroup, f_group
 from sumfree.mis import (
     EnumerationLimitError,
     _leq_power,
@@ -115,7 +118,7 @@ def test_cycle_bound():
 
 def test_size_limit():
     with pytest.raises(EnumerationLimitError):
-        count_mis(matching(10), limit=10)
+        count_mis(matching(41))  # 82 vertices
     with pytest.raises(EnumerationLimitError):
         enumerate_mis(matching(12), cap=100)
     with pytest.raises(EnumerationLimitError):
@@ -200,7 +203,8 @@ def test_cap_counts_the_covered_sets():
 
 
 def test_searches_leave_no_reference_cycle():
-    # each search's memo is freed when the call returns, not by the cyclic GC
+    # each search's memo, and each walk's output list, is freed when the call
+    # returns, not by the cyclic GC
     g = cycle(9)
     gc.collect()
     gc.disable()
@@ -209,6 +213,12 @@ def test_searches_leave_no_reference_cycle():
         count_covering_mis(g.nbr, _free(g), [(1, 1)])
         mis_masks(g.nbr, _free(g))
         count_independent(g.nbr, _free(g))
+        disjoint_p3_packing(g)
+        are_isomorphic(prism(), prism())
+        census.enumerate_maximal_sum_free(12)
+        census.sum_free_subsets_of(range(1, 10))
+        census.branch_counts(16)
+        f_group(AbelianGroup.parse("Z2xZ2xZ2"))
         assert gc.collect() == 0
     finally:
         gc.enable()
