@@ -145,18 +145,17 @@ def _seed_node(n, seed):
     return _node(n, seed, n // 2)
 
 
-def test_walk_lists_the_maximal_sets_below_each_node():
-    # from every sum-free node of [n], and from each seed node, the walk
-    # lists exactly the maximal sets M below it (M holds S and takes its
-    # other elements from cand): its pruning cuts only subtrees without one,
-    # and its own blocked and rev updates agree with the definitions
+def test_walk_state_matches_definitions_node_by_node():
+    # from every sum-free node of [n], its cand, blocked and rev built from
+    # the definitions, the walk lists exactly the maximal sets M below it (M
+    # holds S and takes its other elements from cand), so its own blocked
+    # and rev updates on the way down agree with the definitions
     nodes = 0
     for n in range(1, 15):
         universe = (1 << n) - 1
         maximal = _brute_maximal(n)
-        seeds = sum_free_subsets_of(range(1, n // 2 + 1))
         sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
-        for node in [_node(n, m) for m in sets] + [_seed_node(n, s) for s in seeds]:
+        for node in (_node(n, m) for m in sets):
             cand, mask = node[:2]
             out = []
             census._maximal_walk(n, universe, out, *node)
@@ -167,6 +166,29 @@ def test_walk_lists_the_maximal_sets_below_each_node():
         )
         assert branch_counts(n) == (len(sets), len(maximal))
     assert nodes == 2498
+
+
+def test_prune_cuts_only_subtrees_without_maximal_sets():
+    # the root, each seed node and every node below a seed (a sum-free M,
+    # its seed M ∩ [n/2], its children in (max(M, n/2), n]), offered to the
+    # pruned walk: it lists nothing exactly where no maximal set lies below,
+    # and otherwise the maximal sets below the node
+    for n in range(1, 15):
+        universe = (1 << n) - 1
+        maximal = _brute_maximal(n)
+        sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
+        cuts = 0
+        for node in [_node(n, 0)] + [_node(n, m, n // 2) for m in sets]:
+            cand, mask = node[:2]
+            out = []
+            census._maximal_walk(n, universe, out, *node)
+            want = [m for m in maximal if m & ~cand == mask]
+            cuts += not want
+            assert sorted(out) == want, (n, mask)
+        assert cuts or n < 3, n
+        root = []
+        census._maximal_walk(n, universe, root, *_node(n, 0))
+        assert len(root) == len(maximal)
 
 
 def test_seed_counts_match_brute_force():
