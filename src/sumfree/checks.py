@@ -505,15 +505,15 @@ def default_group_splits() -> list[str]:
 
 
 def _two_step_terms(grp: AbelianGroup) -> tuple[int, int, int]:
-    """(|B|, seeds, f_max) of a group from one walk over its index sets: B
+    """(|B|, seeds, f_max) of a group from one walk over its index masks: B
     is the first longest sum-free set in preorder, the one
     group.max_sum_free returns, and the seeds are the sum-free sets inside
     C, the non-zero elements outside B."""
-    walked = _walk(grp.order, _table(grp, 24))
-    b = max((s for s, _ in walked), key=len)
-    c = set(range(grp.order)).difference(b, [grp.index_of(grp.zero)])
-    seeds = sum(1 for s, _ in walked if c.issuperset(s))
-    return len(b), seeds, sum(maximal for _, maximal in walked)
+    walked = _walk(_table(grp))
+    b = max((s for s, _ in walked), key=int.bit_count)
+    c = (1 << grp.order) - 1 & ~b & ~(1 << grp.index_of(grp.zero))
+    seeds = sum(1 for s, _ in walked if not s & ~c)
+    return b.bit_count(), seeds, sum(maximal for _, maximal in walked)
 
 
 @_check("group-two-step-bound")

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or limit error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -32,6 +33,7 @@ from .graph import (
     to_text,
 )
 from .group import AbelianGroup, f_group, f_max_group, mu
+from .intset import IntSubset
 from .linkgraph import link_family, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
@@ -69,6 +71,7 @@ def _global_options() -> argparse.ArgumentParser:
     return g
 
 
+@functools.cache  # built at the first run; a dropped parser is cyclic garbage
 def _parser() -> argparse.ArgumentParser:
     common = _global_options()
     top = argparse.ArgumentParser(
@@ -244,7 +247,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             print(pr, file=sys.stderr)
         return 1
     for member in family.members:
-        if hasattr(member, "mask"):
+        if isinstance(member, IntSubset):
             _emit(json.dumps(list(member.members)))
         else:
             _emit(json.dumps([list(g) for g in member.sorted_members()]))

@@ -22,7 +22,7 @@ Families implemented (anchor; window; claimed size):
   x ~ a - x with loops at a/2 and 2a.  Cosets are taken on the first axis
   divisible by 3: if its order is at least 9, -a is forced and there are
   2^{(n-9)/6} members; if it is Z_3, a/2 = 2a and there are 2^{(n-3)/6}
-  (Z15 gives 2, Z3xZ5 gives 4).  The claimed size is the MIS count.
+  (Z15 gives 2, Z3xZ5 gives 4).  The claimed size is this closed form.
 * exponent-7 groups: the least element of coset 1; cosets 2 and 3, a perfect
   matching with one loop; exactly 2^{n/7 - 1} members.
 
@@ -34,12 +34,11 @@ each) plus O(1) exceptional components, and `zn_prism_census` counts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from .graph import Graph, are_isomorphic, connected_components, prism
+from .graph import Graph, _bits, are_isomorphic, connected_components, prism
 from .group import (
     AbelianGroup,
-    GroupElem,
     GroupSubset,
     coset_partition,
     is_sum_free_group,
@@ -98,11 +97,9 @@ def verify_family(fam: Family) -> list[str]:
                 continue
             assert isinstance(fam.window, GroupSubset)
             grp = member.group
-            for w in fam.window.members:
-                if w not in member.members and is_sum_free_group(
-                    GroupSubset.of(grp, set(member.members) | {w})
-                ):
-                    problems.append(f"{fam.ground}: member extendable by {w}")
+            for w in _bits(fam.window.mask & ~member.mask):
+                if is_sum_free_group(GroupSubset(grp, member.mask | 1 << w)):
+                    problems.append(f"{fam.ground}: member extendable by {grp.from_index(w)}")
     return problems
 
 
@@ -124,18 +121,14 @@ def _int_family(n: int, anchor: int, window: range, size: int) -> Family:
     return Family(f"n={n}", tuple(members), IntSubset.of(n, window), size)
 
 
-def _group_family(
-    group: AbelianGroup, anchor: GroupElem, window: GroupSubset, size: Optional[int] = None
-) -> Family:
-    """{anchor} joined with each maximal independent set of its link graph
-    on `window`; `size` defaults to the MIS count of that graph."""
-    link = link_graph_group(group, GroupSubset.of(group, {anchor}), window)
-    members = [
-        GroupSubset.of(group, {anchor, *map(group.from_index, ind)})
-        for ind in enumerate_mis(link)
-    ]
-    return Family(group.describe(), tuple(members), window,
-                  count_mis(link) if size is None else size)
+def _group_family(group: AbelianGroup, anchor: int, window: GroupSubset,
+                  size: int) -> Family:
+    """The anchor's bit joined with each maximal independent set of its link
+    graph on `window`."""
+    link = link_graph_group(group, GroupSubset(group, anchor), window)
+    members = [GroupSubset(group, anchor | sum(1 << i for i in ind))
+               for ind in enumerate_mis(link)]
+    return Family(group.describe(), tuple(members), window, size)
 
 
 def ce_odd_family(n: int) -> Family:
@@ -162,8 +155,9 @@ def z2k_family(k: int) -> Family:
         raise FamilyError("need k >= 2")
     _bound(1 << min(k - 2, 64))  # 2^{k-2} edges; 2^64 is past any limit
     grp = AbelianGroup((2,) * k)
-    half = GroupSubset.of(grp, [g for g in grp.elements() if g[0] == 1])
-    return _group_family(grp, (0, 1) + (0,) * (k - 2), half, 2 ** 2 ** (k - 2))
+    half = GroupSubset(grp, (1 << 2**k) - (1 << 2 ** (k - 1)))  # first coordinate 1
+    anchor = 1 << grp.index_of((0, 1) + (0,) * (k - 2))
+    return _group_family(grp, anchor, half, 2 ** 2 ** (k - 2))
 
 
 @dataclass(frozen=True)
@@ -183,8 +177,8 @@ def zn_prism_census(n: int) -> PrismCensus:
         raise FamilyError("need n >= 9")
     _bound(order=n)
     grp = AbelianGroup((n,))
-    s = GroupSubset.of(grp, {(k % n,), ((n - 2 * k) % n,)})
-    window = GroupSubset.of(grp, {(v,) for v in range(3 * k + 1, 6 * k + 1)})
+    s = GroupSubset(grp, 1 << k | 1 << n - 2 * k)
+    window = GroupSubset(grp, ((1 << 3 * k) - 1) << 3 * k + 1)  # [3k+1, 6k]
     graph = link_graph_group(grp, s, window)
     prisms = 0
     others = 0
@@ -197,7 +191,7 @@ def zn_prism_census(n: int) -> PrismCensus:
         else:
             others += 1
     return PrismCensus(
-        n, k, len(window.members), graph, prisms, others, count_mis(graph)
+        n, k, len(window), graph, prisms, others, count_mis(graph)
     )
 
 
@@ -209,7 +203,9 @@ def index3_family(group: AbelianGroup) -> Family:
     if n % 3 or n % 2 == 0:
         raise FamilyError("need odd order divisible by 3")
     cosets = coset_partition(group, 3)
-    return _group_family(group, min(cosets[2].members), cosets[1])
+    factor = next(f for f in group.factors if f % 3 == 0)  # the cosets' axis
+    size = 2 ** ((n - 3) // 6) if factor == 3 else 2 ** ((n - 9) // 6)
+    return _group_family(group, cosets[2].mask & -cosets[2].mask, cosets[1], size)
 
 
 def exponent7_family(group: AbelianGroup) -> Family:
@@ -219,6 +215,6 @@ def exponent7_family(group: AbelianGroup) -> Family:
     if group.exponent != 7:
         raise FamilyError("need exponent 7")
     cosets = coset_partition(group, 7)
-    window = GroupSubset.of(group, cosets[2].members | cosets[3].members)
-    return _group_family(group, min(cosets[1].members), window,
+    window = GroupSubset(group, cosets[2].mask | cosets[3].mask)
+    return _group_family(group, cosets[1].mask & -cosets[1].mask, window,
                          2 ** (group.order // 7 - 1))

@@ -1,9 +1,10 @@
 """Sum-free subsets of a finite abelian group, by one prefix-tree walk.
 
-Elements are indices 0..N-1 and `add` is the group's addition table.  The
-walk uses inverses, so `add` must be the table of an abelian group.  It is
-the group counterpart of `census._maximal_walk`, unpruned: every node is a
-sum-free set S, grown in increasing index order, and carries
+Elements are indices 0..N-1 and `add` is the group's addition table, so
+`len(add)` is the order N.  Subsets are index masks: element i at bit i.
+The walk uses inverses, so `add` must be the table of an abelian group.  It
+is the group counterpart of `census._maximal_walk`, unpruned: every node is
+a sum-free set S, grown in increasing index order, and carries
 
     blocked = {e} | (S + S) | (S - S) | {y : y + y in S}
 
@@ -19,19 +20,20 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _walk(n: int, add: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], bool]]:
-    """Every sum-free set in preorder, each with whether it is maximal."""
+def _walk(add: Sequence[Sequence[int]]) -> list[tuple[int, bool]]:
+    """Every sum-free set's mask in preorder, each with whether it is maximal."""
+    n = len(add)
     identity = next(x for x in range(n) if add[x][x] == x)
     neg = [row.index(identity) for row in add]
     halves = [0] * n
     for y in range(n):
         halves[add[y][y]] |= 1 << y
     full = (1 << n) - 1
-    out: list[tuple[tuple[int, ...], bool]] = []
+    out: list[tuple[int, bool]] = []
     members: list[int] = []
 
     def rec(cand: int, mask: int, blocked: int) -> None:
-        out.append((tuple(members), not cand and not full & ~mask & ~blocked))
+        out.append((mask, not cand and not full & ~mask & ~blocked))
         while cand:
             low = cand & -cand
             cand ^= low
@@ -49,13 +51,11 @@ def _walk(n: int, add: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], b
     return out
 
 
-def sum_free_subsets(n: int, add: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All sum-free subsets, in sorted order."""
-    return [s for s, _ in _walk(n, add)]
+def sum_free_subsets(add: Sequence[Sequence[int]]) -> list[int]:
+    """All sum-free subsets' masks, in preorder (lexicographic by members)."""
+    return [s for s, _ in _walk(add)]
 
 
-def maximal_sum_free_subsets(
-    n: int, add: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """All maximal sum-free subsets, in sorted order."""
-    return [s for s, maximal in _walk(n, add) if maximal]
+def maximal_sum_free_subsets(add: Sequence[Sequence[int]]) -> list[int]:
+    """All maximal sum-free subsets' masks, in preorder (lexicographic by members)."""
+    return [s for s, maximal in _walk(add) if maximal]

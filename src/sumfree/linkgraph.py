@@ -26,7 +26,7 @@ relabels both onto B's index space as a `Graph`.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, _bits, _induced
 from .group import AbelianGroup, GroupSubset
 from .intset import IntSubset, iter_mask, mask_blocked
 
@@ -68,26 +68,21 @@ def link_graph_ints(s_members, b_members) -> Graph:
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:
-    """Group link graph; vertex labels are flattened element indices."""
-    mem = s.members
-    bs = b.sorted_members()
-    edges = []
-    for i, x in enumerate(bs):
-        for y in bs[i + 1 :]:
-            if (
-                group.add(x, y) in mem
-                or group.sub(y, x) in mem
-                or group.sub(x, y) in mem
-            ):
-                edges.append((group.index_of(x), group.index_of(y)))
-    sums = {group.add(z, w) for z in mem for w in mem}
-    diffs = {group.sub(z, w) for z in mem for w in mem}
-    loops = [
-        group.index_of(x)
-        for x in bs
-        if group.add(x, x) in mem or x in sums or x in diffs
-    ]
-    return Graph.build([group.index_of(x) for x in bs], edges, loops)
+    """Group link graph, read off the addition table: x ~ y for y in x + S,
+    x - S or S - x, and loops at B & ((S + S) | (S - S) | {x : x + x in S}).
+    Vertex labels are element indices."""
+    add = group.add_table()
+    neg = [row.index(0) for row in add]  # index 0 is the identity
+    zs = list(_bits(s.mask))
+    nbr, loops = [], 0
+    for x, row in enumerate(add):
+        near = 0
+        for z in zs:
+            near |= 1 << row[z] | 1 << row[neg[z]] | 1 << add[z][neg[x]]
+        nbr.append(near & ~(1 << x))
+        # S + S and S - S are the members' neighbourhoods; then x + x in S
+        loops |= (near if s.mask >> x & 1 else 0) | (s.mask >> row[x] & 1) << x
+    return _induced(Graph(tuple(range(group.order)), tuple(nbr), loops), b.mask)
 
 
 def link_family(n: int, m: int, s_members=()) -> Graph:

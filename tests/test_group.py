@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -73,6 +74,22 @@ def test_index_round_trip():
         assert g.from_index(g.index_of(e)) == e
 
 
+def test_group_subset_mask_round_trip():
+    rng = random.Random(7)
+    for desc in ("Z2", "Z7", "Z2xZ2", "Z3xZ4", "Z2xZ2xZ6", "Z4xZ6", "Z24"):
+        g = AbelianGroup.parse(desc)
+        els = g.elements()
+        for _ in range(20):
+            chosen = rng.sample(els, k=rng.randint(0, len(els)))
+            s = GroupSubset.of(g, chosen)
+            assert s.sorted_members() == sorted(chosen), desc
+            assert s.members == frozenset(chosen) and len(s) == len(chosen)
+            assert all((x in s) == (x in chosen) for x in els)
+        assert (1,) * (len(g.factors) + 1) not in s
+        with pytest.raises(ValueError, match="outside the group"):
+            GroupSubset(g, 1 << g.order)
+
+
 def test_is_sum_free_group():
     assert is_sum_free_group(GroupSubset.of(Z22, [(0, 1), (1, 0)]))
     assert is_sum_free_group(GroupSubset.of(Z5, [(1,), (4,)]))
@@ -85,7 +102,7 @@ def test_mu_values():
     assert mu(AbelianGroup((2, 2, 2))) == 4
     for k in range(1, 5):
         grp = AbelianGroup((2,) * k)
-        assert mu(grp, limit=16) == 2 ** (k - 1)
+        assert mu(grp) == 2 ** (k - 1)
     with pytest.raises(ValueError):
         mu(AbelianGroup((5, 7)))
 
@@ -149,13 +166,14 @@ def test_group_counts_against_oracle():
     assert f_max_group(AbelianGroup((2,))) == 1
 
 
-def test_order_limit():
+def test_order_limit(monkeypatch):
     grp = AbelianGroup((5, 5))
     for search in (mu, max_sum_free, enumerate_sum_free_group,
                    enumerate_maximal_sum_free_group, f_group, f_max_group):
         with pytest.raises(ValueError, match="exceeds the search limit 24"):
             search(grp)
-    assert mu(grp, limit=25) == 10  # (p + 1) n / 3p for p = 5
+    monkeypatch.setattr("sumfree.group.GROUP_MAX_ORDER", 25)
+    assert mu(grp) == 10  # (p + 1) n / 3p for p = 5
 
 
 def test_maximal_enumeration_members_are_maximal():

@@ -116,7 +116,7 @@ def test_link_masks_match_schur_triples(args):
     assert b_mask & mask_blocked(s_mask) == loops, s
 
 
-@pytest.mark.parametrize("desc", ["Z2xZ4", "Z9"])
+@pytest.mark.parametrize("desc", ["Z2xZ4", "Z9", "Z3xZ3", "Z2xZ2xZ2", "Z12", "Z15"])
 def test_link_graph_group_matches_definition(desc):
     grp = AbelianGroup.parse(desc)
     els = grp.elements()
@@ -127,7 +127,7 @@ def test_link_graph_group_matches_definition(desc):
 
     rng = random.Random(31)
     for _ in range(100):
-        s = rng.sample(els, k=rng.randint(0, 3))
+        s = rng.sample(els, k=rng.randint(0, 4))
         b = rng.sample(els, k=rng.randint(0, len(els)))
         g = link_graph_group(grp, GroupSubset.of(grp, s), GroupSubset.of(grp, b))
         verts = [grp.from_index(v) for v in g.labels]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import census, mis
+from sumfree import census, cli, mis
 from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
@@ -219,6 +219,24 @@ def test_searches_leave_no_reference_cycle():
         census.sum_free_subsets_of(range(1, 10))
         census.branch_counts(16)
         f_group(AbelianGroup.parse("Z2xZ2xZ2"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_run_leaves_no_reference_cycle():
+    # the argument parser is built once, not dropped as cyclic garbage per run
+    runs = (["verify", "--check", "group-two-step-bound"],
+            ["enumerate", "--n", "16", "--no-cache"],
+            ["group", "--desc", "Z2xZ6", "--op", "fmax"],
+            ["construct", "--family", "index3", "--group", "Z15"])
+    for argv in runs:
+        assert cli.run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in runs:
+            assert cli.run(argv) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
