@@ -55,8 +55,7 @@ if TYPE_CHECKING:
 # f(44) = 55560183 masks: oracle_counts(44) takes 9.3 s and a 1425 MB peak
 # RSS (fresh process, getrusage) on a 2-core Intel Xeon, Python 3.11.7, numpy
 # 2.4.6; 38, 40, 42 took 1.0, 2.3, 4.3 s and 229, 419, 791 MB.  Both about
-# double per +2, so 46 (not run) would exceed a 2 GB peak budget; going past
-# 44 needs the table grown in place instead of concatenated per step
+# double per +2, so 46 (not run) would exceed a 2 GB peak budget
 ORACLE_MAX_N = 44
 
 

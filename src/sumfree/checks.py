@@ -46,7 +46,7 @@ from .graph import (
     relabel,
 )
 from .engine import _walk
-from .group import AbelianGroup, _table
+from .group import AbelianGroup, _searchable
 from .intset import IntSubset, iter_mask, mask_can_add
 from .linkgraph import link_family, link_graph_ints, link_single_even
 from .mis import bound_certificates, count_mis, enumerate_mis, mis_cycle
@@ -509,9 +509,9 @@ def _two_step_terms(grp: AbelianGroup) -> tuple[int, int, int]:
     is the first longest sum-free set in preorder, the one
     group.max_sum_free returns, and the seeds are the sum-free sets inside
     C, the non-zero elements outside B."""
-    walked = _walk(_table(grp))
+    walked = _walk(_searchable(grp))
     b = max((s for s, _ in walked), key=int.bit_count)
-    c = (1 << grp.order) - 1 & ~b & ~(1 << grp.index_of(grp.zero))
+    c = (1 << grp.order) - 2 & ~b  # index 0, the identity, is not in C
     seeds = sum(1 for s, _ in walked if not s & ~c)
     return b.bit_count(), seeds, sum(maximal for _, maximal in walked)
 

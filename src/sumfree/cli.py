@@ -33,15 +33,18 @@ from .graph import (
     to_text,
 )
 from .group import AbelianGroup, f_group, f_max_group, mu
-from .intset import IntSubset
 from .linkgraph import link_family, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, count_mis, enumerate_mis
+from .mis import EnumerationLimitError, check_vertex_limit, count_mis, enumerate_mis
 
 
 # the branch route with 2 workers on a 2-core Intel Xeon (Python 3.11.7):
 # 202 s at n = 67 and 422 s at n = 70, about 1.28x per +1 there, so n = 71
 # extrapolates to about 540 s, too close to 600 s
 ENUMERATE_MAX_N = 70
+# link graphs are built in element space, so memory grows as n^2: --n 20000
+# took 0.29-0.55 s and 56-67 MB (S of 1 to 10 members), 40000 took 0.6-1.5 s
+# and 158-180 MB, on a 2-core Intel Xeon; the budget is 1 s and 100 MB
+LINK_MAX_N = 20000
 MAX_WORKERS = 64  # each a whole interpreter process, and a pool may start all at once
 _GRAPH_FAMILIES = "path:N, cycle:N, matching:K, complete:N, prism"  # mis --family
 # value types of the record `enumerate` prints and caches
@@ -141,6 +144,8 @@ def _family_graph(spec: str) -> Graph:
     if spec == "prism":
         return prism()
     if name in builders and arg.isdecimal():
+        # none has loops, and a matching on K edges has 2K vertices
+        check_vertex_limit(int(arg) * (2 if name == "matching" else 1))
         return builders[name](int(arg))
     raise ValueError(f"graph family {spec!r} is not one of {_GRAPH_FAMILIES}")
 
@@ -198,6 +203,8 @@ def _cmd_mis(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    if args.n > LINK_MAX_N:
+        raise EnumerationLimitError(f"n = {args.n} exceeds the link limit {LINK_MAX_N}")
     if args.even is not None:
         if args.even2 is not None:
             g = link_pair_even(args.n, args.even, args.even2)
@@ -247,10 +254,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             print(pr, file=sys.stderr)
         return 1
     for member in family.members:
-        if isinstance(member, IntSubset):
-            _emit(json.dumps(list(member.members)))
-        else:
-            _emit(json.dumps([list(g) for g in member.sorted_members()]))
+        _emit(json.dumps(member.members))
     return 0
 
 
@@ -301,6 +305,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     rows = []
     for n in range(4, args.n_max + 1):
         sums = census.dprime_sum(n)
+        limit = census.EVEN_LINK_LIMITS[n % 4]
         rows.append({
             "n": n,
             "residue_mod_4": n % 4,
@@ -308,14 +313,14 @@ def _cmd_constants(args: argparse.Namespace) -> int:
             "restricted": str(sums.restricted),
             "geometric_closed_form": str(sums.geometric_closed_form),
             "ratio": round(sums.ratio(), 6),
+            "limit": round(limit, 6),
+            # the fitted envelope: |ratio - limit| shrinks about as 2^{-n/12}
+            "deviation": round(abs(sums.ratio() - limit) * 2 ** (n / 12), 6),
         })
     if args.output == "csv":
-        _emit("n,residue_mod_4,total,restricted,geometric_closed_form,ratio")
+        _emit("n,residue_mod_4,total,restricted,geometric_closed_form,ratio,limit,deviation")
         for row in rows:
-            _emit(
-                f"{row['n']},{row['residue_mod_4']},{row['total']},"
-                f"{row['restricted']},{row['geometric_closed_form']},{row['ratio']}"
-            )
+            _emit(",".join(str(v) for v in row.values()))
     else:
         for row in rows:
             _emit(json.dumps(row, sort_keys=True))

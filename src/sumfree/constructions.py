@@ -6,8 +6,9 @@ Every family is one recipe: an anchor x and a window W give the members
 is the graph's vertex set, so members differ only inside it and none can
 be extended there; distinct members therefore close up to distinct maximal
 sum-free sets, and the family size is a lower bound for the number of
-maximal sum-free sets.  `verify_family` re-checks both properties by the
-definition, independently of the MIS listing.
+maximal sum-free sets.  `verify_family` re-checks both properties, apart
+from the MIS listing, from each member's blocked mask (`mask_blocked` over
+[n], `AbelianGroup.blocked` over a group).
 
 Families implemented (anchor; window; claimed size):
 
@@ -33,23 +34,19 @@ each) plus O(1) exceptional components, and `zn_prism_census` counts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
-from .graph import Graph, _bits, are_isomorphic, connected_components, prism
-from .group import (
-    AbelianGroup,
-    GroupSubset,
-    coset_partition,
-    is_sum_free_group,
-)
-from .intset import IntSubset, is_sum_free, mask_is_sum_free
+from .graph import Graph, are_isomorphic, connected_components, prism
+from .group import AbelianGroup, GroupSubset, coset_partition
+from .intset import IntSubset, mask_blocked
 from .linkgraph import link_graph_group, link_graph_ints
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
-# with verify_family on a 2-core Intel Xeon: ce-odd at n = 56 (2^14 members)
-# takes 0.9 s and z2k at k = 6 (2^16) over 5 minutes; group link graphs cost
-# O(order^2), and index3 takes 0.8 s on Z63 (512 members), 21 s on Z81 (4096)
+# built and verified on a 2-core Intel Xeon: ce-odd at n = 56 (2^14 members)
+# in 0.4 s, z2k at k = 6 (2^16) in 3.6 s, index3 in 0.02 s on Z63 (512) and
+# 0.2 s on Z81 (4096); the order limit also bounds index3's and exponent7's
+# member counts, which no member limit checks
 FAMILY_MAX_MEMBERS = 1 << 14
 FAMILY_MAX_ORDER = 64
 
@@ -70,7 +67,9 @@ class FamilyError(ValueError):
 
 def verify_family(fam: Family) -> list[str]:
     """Exhaustive certificate: every member sum-free, members distinct and
-    as many as claimed, and no member extendable inside the window."""
+    as many as claimed, and no member extendable inside the window: M is
+    sum-free iff M & blocked(M) is empty, and then the window elements
+    outside M | blocked(M) extend it, over [n] and over a group alike."""
     problems: list[str] = []
     if len(fam.members) != fam.claimed_size:
         problems.append(
@@ -78,28 +77,14 @@ def verify_family(fam: Family) -> list[str]:
         )
     if len(set(fam.members)) != len(fam.members):
         problems.append(f"{fam.ground}: duplicate members")
-    for member in fam.members:
-        if isinstance(member, IntSubset):
-            if not is_sum_free(member):
-                problems.append(f"{fam.ground}: member {member.members} not sum-free")
-                continue
-            assert isinstance(fam.window, IntSubset)
-            for w in fam.window:
-                if w not in member and mask_is_sum_free(
-                    member.mask | (1 << (w - 1))
-                ):
-                    problems.append(
-                        f"{fam.ground}: member {member.members} extendable by {w}"
-                    )
-        else:
-            if not is_sum_free_group(member):
-                problems.append(f"{fam.ground}: group member not sum-free")
-                continue
-            assert isinstance(fam.window, GroupSubset)
-            grp = member.group
-            for w in _bits(fam.window.mask & ~member.mask):
-                if is_sum_free_group(GroupSubset(grp, member.mask | 1 << w)):
-                    problems.append(f"{fam.ground}: member extendable by {grp.from_index(w)}")
+    for m in fam.members:
+        blocked = (m.group.blocked(m.mask) if isinstance(m, GroupSubset)
+                   else mask_blocked(m.mask))
+        if m.mask & blocked:
+            problems.append(f"{fam.ground}: member {m.members} not sum-free")
+            continue
+        problems += [f"{fam.ground}: member {m.members} extendable by {w}"
+                     for w in replace(m, mask=fam.window.mask & ~m.mask & ~blocked).members]
     return problems
 
 

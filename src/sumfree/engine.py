@@ -1,30 +1,32 @@
 """Sum-free subsets of a finite abelian group, by one prefix-tree walk.
 
-Elements are indices 0..N-1 and `add` is the group's addition table, so
-`len(add)` is the order N.  Subsets are index masks: element i at bit i.
-The walk uses inverses, so `add` must be the table of an abelian group.  It
-is the group counterpart of `census._maximal_walk`, unpruned: every node is
-a sum-free set S, grown in increasing index order, and carries
+Elements are indices 0..N-1, index 0 the identity, and the walk reads the
+group's `table` and `negation`.  Subsets are index masks: element i at bit
+i.  It is the group counterpart of `census._maximal_walk`, unpruned: every
+node is a sum-free set S, grown in increasing index order, and carries
 
-    blocked = {e} | (S + S) | (S - S) | {y : y + y in S}
+    blocked = {0} | (S + S) | (S - S) | {y : y + y in S}
 
-(e the identity), the elements whose insertion would break sum-freeness.
-Inserting x adds x + x, the halves of x and, for every member a, x + a,
-x - a and a - x.  A node's children are the candidates above max S that are
-not blocked; a node is maximal iff it has no child and every element is in
-S or blocked.  Preorder visits the sets in sorted (lexicographic) order.
+(`AbelianGroup.blocked` and the identity), the elements whose insertion
+would break sum-freeness.  Inserting x adds x + x, the halves of x and, for
+every member a, x + a, x - a and a - x.  A node's children are the
+candidates above max S that are not blocked; a node is maximal iff it has
+no child and every element is in S or blocked.  Preorder visits the sets in
+sorted (lexicographic) order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .group import AbelianGroup
 
 
-def _walk(add: Sequence[Sequence[int]]) -> list[tuple[int, bool]]:
+def _walk(group: AbelianGroup) -> list[tuple[int, bool]]:
     """Every sum-free set's mask in preorder, each with whether it is maximal."""
+    add, neg = group.table, group.negation
     n = len(add)
-    identity = next(x for x in range(n) if add[x][x] == x)
-    neg = [row.index(identity) for row in add]
     halves = [0] * n
     for y in range(n):
         halves[add[y][y]] |= 1 << y
@@ -46,16 +48,16 @@ def _walk(add: Sequence[Sequence[int]]) -> list[tuple[int, bool]]:
             rec(cand & ~b, mask | low, b)
             members.pop()
 
-    rec(full & ~(1 << identity), 0, 1 << identity)
+    rec(full & ~1, 0, 1)  # index 0 is the identity
     del rec  # it reaches itself through its closure cell: free it now, not at a GC
     return out
 
 
-def sum_free_subsets(add: Sequence[Sequence[int]]) -> list[int]:
+def sum_free_subsets(group: AbelianGroup) -> list[int]:
     """All sum-free subsets' masks, in preorder (lexicographic by members)."""
-    return [s for s, _ in _walk(add)]
+    return [s for s, _ in _walk(group)]
 
 
-def maximal_sum_free_subsets(add: Sequence[Sequence[int]]) -> list[int]:
+def maximal_sum_free_subsets(group: AbelianGroup) -> list[int]:
     """All maximal sum-free subsets' masks, in preorder (lexicographic by members)."""
-    return [s for s, maximal in _walk(add) if maximal]
+    return [s for s, maximal in _walk(group) if maximal]

@@ -1,7 +1,9 @@
 """Finite abelian groups as explicit products of cyclic factors.
 
 Groups are fixed as Z_{n_1} x ... x Z_{n_k}; elements are residue vectors,
-and subsets are index masks over the addition table the searches walk.
+flattened to mixed-radix indices (index 0 the identity), and subsets are
+index masks.  `table` and `negation` (built once) and `blocked` (the twin of
+`intset.mask_blocked`) are the one index arithmetic over them.
 No abstract group interface: every construction used here lives in Z_n, in
 Z_2^k, or behind a coordinate projection, and index-r subgroups are realised
 only as kernels of a coordinate projection composed with a residue map.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 from .engine import maximal_sum_free_subsets, sum_free_subsets
@@ -60,10 +63,6 @@ class AbelianGroup:
             e = e * f // gcd(e, f)
         return e
 
-    @property
-    def zero(self) -> GroupElem:
-        return (0,) * len(self.factors)
-
     def check(self, g: GroupElem) -> GroupElem:
         if len(g) != len(self.factors) or any(
             not 0 <= a < f for a, f in zip(g, self.factors)
@@ -103,11 +102,36 @@ class AbelianGroup:
             idx //= f
         return tuple(reversed(coords))
 
-    def add_table(self) -> list[list[int]]:
-        els = self.elements()
-        return [
-            [self.index_of(self.add(g, h)) for h in els] for g in els
-        ]
+    @cached_property  # not a field: equality and hash stay the factors'
+    def table(self) -> list[list[int]]:
+        """table[i][j] is the index of g_i + g_j.  Built from the last factor
+        outward: in Z_f x H, (a, h) has index a|H| + h, and (a, h) + (b, k)
+        is ((a + b) mod f, h + k)."""
+        rows, size = [[0]], 1
+        for f in reversed(self.factors):
+            rows = [[(a + b) % f * size + t for b in range(f) for t in row]
+                    for a in range(f) for row in rows]
+            size *= f
+        return rows
+
+    @cached_property
+    def negation(self) -> list[int]:
+        """negation[i] is the index of -g_i, negated digit by digit."""
+        return [self.index_of(tuple(-a % f for a, f in zip(g, self.factors)))
+                for g in self.elements()]
+
+    def blocked(self, mask: int) -> int:
+        """(S + S) | (S - S) | {x : x + x in S} for the index mask S, empty
+        for an empty S.  S is sum-free iff S & blocked(S) == 0; for a
+        nonempty sum-free S (0 = s - s is in it) these are exactly the
+        elements whose addition breaks sum-freeness."""
+        table, neg = self.table, self.negation
+        members = list(_bits(mask))
+        out = sum(1 << x for x, row in enumerate(table) if mask >> row[x] & 1)
+        for s in members:
+            for t in members:
+                out |= 1 << table[s][t] | 1 << table[s][neg[t]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -128,8 +152,8 @@ class GroupSubset:
         return cls(group, sum(1 << group.index_of(g) for g in set(members)))
 
     @property
-    def members(self) -> frozenset[GroupElem]:
-        return frozenset(self.sorted_members())
+    def members(self) -> tuple[GroupElem, ...]:
+        return tuple(self.group.from_index(i) for i in _bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -140,13 +164,10 @@ class GroupSubset:
         except ValueError:
             return False
 
-    def sorted_members(self) -> list[GroupElem]:
-        return [self.group.from_index(i) for i in _bits(self.mask)]
-
 
 def is_sum_free_group(s: GroupSubset) -> bool:
     """No x, y, z in S with x + y = z (x = y allowed)."""
-    grp, mem = s.group, s.members
+    grp, mem = s.group, frozenset(s.members)
     for x in mem:
         for y in mem:
             if grp.add(x, y) in mem:
@@ -154,11 +175,11 @@ def is_sum_free_group(s: GroupSubset) -> bool:
     return True
 
 
-def _table(group: AbelianGroup) -> list[list[int]]:
-    """The addition table of a group whose order is within the search limit."""
+def _searchable(group: AbelianGroup) -> AbelianGroup:
+    """The group, if its order is within the search limit."""
     if group.order > GROUP_MAX_ORDER:
         raise ValueError(f"group order {group.order} exceeds the search limit {GROUP_MAX_ORDER}")
-    return group.add_table()
+    return group
 
 
 def mu(group: AbelianGroup) -> int:
@@ -168,7 +189,7 @@ def mu(group: AbelianGroup) -> int:
 
 def max_sum_free(group: AbelianGroup) -> GroupSubset:
     """A maximum-size sum-free subset: the lexicographically first by index."""
-    return GroupSubset(group, max(sum_free_subsets(_table(group)), key=int.bit_count))
+    return GroupSubset(group, max(sum_free_subsets(_searchable(group)), key=int.bit_count))
 
 
 def unique_half(group: AbelianGroup, x: GroupElem) -> GroupElem:
@@ -197,18 +218,18 @@ def coset_partition(group: AbelianGroup, r: int) -> list[GroupSubset]:
 
 
 def enumerate_sum_free_group(group: AbelianGroup) -> list[GroupSubset]:
-    return [GroupSubset(group, m) for m in sum_free_subsets(_table(group))]
+    return [GroupSubset(group, m) for m in sum_free_subsets(_searchable(group))]
 
 
 def enumerate_maximal_sum_free_group(group: AbelianGroup) -> list[GroupSubset]:
-    return [GroupSubset(group, m) for m in maximal_sum_free_subsets(_table(group))]
+    return [GroupSubset(group, m) for m in maximal_sum_free_subsets(_searchable(group))]
 
 
 def f_group(group: AbelianGroup) -> int:
     """Number of sum-free subsets of the group (empty set included)."""
-    return len(sum_free_subsets(_table(group)))
+    return len(sum_free_subsets(_searchable(group)))
 
 
 def f_max_group(group: AbelianGroup) -> int:
     """Number of maximal sum-free subsets of the group."""
-    return len(maximal_sum_free_subsets(_table(group)))
+    return len(maximal_sum_free_subsets(_searchable(group)))

@@ -21,7 +21,8 @@ Over the integers the link graph is built in element space (element x at
 bit x - 1) by `link_masks`, from three shifts of the mask of S per vertex.
 Its loops are B & `intset.mask_blocked(S)`, which the caller holds (the
 census also reads a seed's open elements off it); `link_graph_ints`
-relabels both onto B's index space as a `Graph`.
+relabels both onto B's index space as a `Graph`.  `link_graph_group`
+takes its loops from `AbelianGroup.blocked(S)`, the group twin.
 """
 
 from __future__ import annotations
@@ -68,21 +69,18 @@ def link_graph_ints(s_members, b_members) -> Graph:
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:
-    """Group link graph, read off the addition table: x ~ y for y in x + S,
-    x - S or S - x, and loops at B & ((S + S) | (S - S) | {x : x + x in S}).
-    Vertex labels are element indices."""
-    add = group.add_table()
-    neg = [row.index(0) for row in add]  # index 0 is the identity
+    """Group link graph: x ~ y for y in x + S, x - S or S - x, and loops at
+    B & group.blocked(S).  Vertex labels are element indices."""
+    add, neg = group.table, group.negation
     zs = list(_bits(s.mask))
-    nbr, loops = [], 0
+    nbr = []
     for x, row in enumerate(add):
         near = 0
         for z in zs:
             near |= 1 << row[z] | 1 << row[neg[z]] | 1 << add[z][neg[x]]
         nbr.append(near & ~(1 << x))
-        # S + S and S - S are the members' neighbourhoods; then x + x in S
-        loops |= (near if s.mask >> x & 1 else 0) | (s.mask >> row[x] & 1) << x
-    return _induced(Graph(tuple(range(group.order)), tuple(nbr), loops), b.mask)
+    return _induced(Graph(tuple(range(group.order)), tuple(nbr), group.blocked(s.mask)),
+                    b.mask)
 
 
 def link_family(n: int, m: int, s_members=()) -> Graph:

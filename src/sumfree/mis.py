@@ -52,6 +52,13 @@ class EnumerationLimitError(RuntimeError):
 _VERTEX_LIMIT = 80
 
 
+def check_vertex_limit(vertices: int) -> None:
+    """Refuse a count or listing over more than _VERTEX_LIMIT loop-free vertices."""
+    if vertices > _VERTEX_LIMIT:
+        raise EnumerationLimitError(
+            f"{vertices} loop-free vertices exceeds the limit {_VERTEX_LIMIT}")
+
+
 def count_mis(g: Graph) -> int:
     """Exact number of maximal independent sets of `g`."""
     return count_covering_mis(g.nbr, ((1 << g.num_vertices) - 1) & ~g.loops_mask)
@@ -62,9 +69,7 @@ def count_covering_mis(nbr: Sequence[int], free: int,
     """Number of maximal independent sets I of `nbr` on the vertex mask `free`
     with I & hit or I & I >> shift for each (shift, hit) in `cover`.  A pair
     can join components, so only a plain count multiplies theirs."""
-    if free.bit_count() > _VERTEX_LIMIT:
-        raise EnumerationLimitError(
-            f"{free.bit_count()} loop-free vertices exceeds the limit {_VERTEX_LIMIT}")
+    check_vertex_limit(free.bit_count())
     return _search(nbr, [free] if cover else component_masks(nbr, free), cover)
 
 

@@ -153,8 +153,8 @@ def test_group_two_step_terms_match_the_three_searches():
     for desc in default_group_splits():
         grp = AbelianGroup.parse(desc)
         b = max_sum_free(grp).members
-        c = frozenset(g for g in grp.elements() if g not in b and g != grp.zero)
-        seeds = sum(s.members <= c for s in enumerate_sum_free_group(grp))
+        c = frozenset(g for g in grp.elements() if g not in b and any(g))
+        seeds = sum(frozenset(s.members) <= c for s in enumerate_sum_free_group(grp))
         fmax = len(enumerate_maximal_sum_free_group(grp))
         assert _two_step_terms(grp) == (len(b), seeds, fmax), desc
 

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import sumfree
-from sumfree import cache, checks, constructions
+from sumfree import cache, checks, cli, constructions
 from sumfree.cache import cache_key, cache_lookup, cache_store
 from sumfree.cli import ENUMERATE_MAX_N, MAX_WORKERS, run
 from sumfree.constructions import FAMILY_MAX_MEMBERS, FAMILY_MAX_ORDER
-from sumfree.graph import from_text
+from sumfree.graph import from_text, path
 
 
 @pytest.fixture()
@@ -262,9 +262,10 @@ def test_constants_csv(capsys, cache_dir):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("n,residue_mod_4,total,")
+    assert lines[0] == ("n,residue_mod_4,total,restricted,geometric_closed_form,ratio,"
+                        "limit,deviation")
     last = lines[-1].split(",")
-    assert last[0] == "16" and last[2] == "69"
+    assert last[0] == "16" and last[2] == "69" and last[6] == "3.0"
 
 
 def test_constants_are_not_cached(capsys, cache_dir):
@@ -419,6 +420,50 @@ def test_family_order_limit(capsys, nothing_built, argv):
                    f"limit {FAMILY_MAX_ORDER}\n")
 
 
+@pytest.fixture()
+def no_graph_built(monkeypatch):
+    for name in ("path", "cycle", "matching", "complete",
+                 "link_family", "link_single_even", "link_pair_even"):
+        monkeypatch.setattr(cli, name, _Unbuilt())
+
+
+@pytest.mark.parametrize("spec, vertices", [
+    ("path:81", 81), ("cycle:81", 81), ("complete:3000", 3000), ("matching:41", 82),
+    ("path:2000000", 2000000),
+])
+def test_mis_family_vertex_limit(capsys, no_graph_built, spec, vertices):
+    for extra in ([], ["--enumerate"]):
+        code, out, err = invoke(capsys, "mis", "--family", spec, *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {vertices} loop-free vertices exceeds the limit 80\n"
+
+
+def test_mis_family_at_the_vertex_limit(capsys):
+    # MIS(C_80) is the Perrin number P(80)
+    for spec, count in (("matching:40", 2**40), ("cycle:80", 5886726725)):
+        code, out, _ = invoke(capsys, "mis", "--family", spec)
+        assert code == 0 and json.loads(out) == {"count": str(count), "vertices": 80}
+
+
+@pytest.mark.parametrize("opts", [["--m", "1"], ["--even", "2"], ["--even", "2", "--even2", "4"]])
+def test_link_size_limit(capsys, monkeypatch, no_graph_built, opts):
+    n = cli.LINK_MAX_N + 1
+    code, out, err = invoke(capsys, "link", "--n", str(n), *opts)
+    assert (code, out) == (2, "")
+    assert err == f"error: n = {n} exceeds the link limit {cli.LINK_MAX_N}\n"
+    # at the limit the graph is built; a two-vertex stand-in keeps it small
+    built = []
+
+    def stand_in(size, *rest):
+        built.append(size)
+        return path(2)
+
+    for name in ("link_family", "link_single_even", "link_pair_even"):
+        monkeypatch.setattr(cli, name, stand_in)
+    code, out, _ = invoke(capsys, "link", "--n", str(cli.LINK_MAX_N), *opts)
+    assert (code, built) == (0, [cli.LINK_MAX_N]) and out.startswith("g 2")
+
+
 def test_enumeration_limit_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, "mis", "--family", "path:100")
     assert code == 2 and out == ""
@@ -531,11 +576,15 @@ def test_scripts_run():
     out = fresh_python(str(SCRIPTS / "fmax_ratio_table.py"), "--n-max", "14")
     rows = _table_rows(out)
     assert [int(r[0]) for r in rows] == list(range(1, 15))
-    out = fresh_python(str(SCRIPTS / "even_link_constants.py"), "--n-max", "12")
-    rows = _table_rows(out)
-    assert [int(r[0]) for r in rows] == list(range(8, 13))
+    out = fresh_python("-m", "sumfree.cli", "constants", "--dprime", "--n-max", "12")
+    rows = [json.loads(line) for line in out.splitlines()][4:]
+    assert [r["n"] for r in rows] == list(range(8, 13))
     # limit column: 3, 3 * 2^(-1/4), 2^(3/2), 2^(5/4) by n mod 4
-    assert [r[6] for r in rows] == ["3.0000", "2.5227", "2.8284", "2.3784", "3.0000"]
+    assert [f"{r['limit']:.4f}" for r in rows] == [
+        "3.0000", "2.5227", "2.8284", "2.3784", "3.0000"]
+    for r in rows:
+        scaled = abs(r["ratio"] - r["limit"]) * 2 ** (r["n"] / 12)
+        assert r["deviation"] == pytest.approx(scaled, abs=1e-5)
 
 
 def test_ratio_table_checks_the_cameron_erdos_bound(capsys, monkeypatch):

@@ -82,12 +82,52 @@ def test_group_subset_mask_round_trip():
         for _ in range(20):
             chosen = rng.sample(els, k=rng.randint(0, len(els)))
             s = GroupSubset.of(g, chosen)
-            assert s.sorted_members() == sorted(chosen), desc
-            assert s.members == frozenset(chosen) and len(s) == len(chosen)
+            assert s.members == tuple(sorted(chosen)) and len(s) == len(chosen), desc
             assert all((x in s) == (x in chosen) for x in els)
         assert (1,) * (len(g.factors) + 1) not in s
         with pytest.raises(ValueError, match="outside the group"):
             GroupSubset(g, 1 << g.order)
+
+
+def _ordered_factorizations(n: int):
+    if n == 1:
+        yield ()
+    for f in range(2, n + 1):
+        if n % f == 0:
+            for rest in _ordered_factorizations(n // f):
+                yield (f,) + rest
+
+
+def test_table_and_negation_match_the_tuple_arithmetic():
+    groups = [AbelianGroup(fs) for n in range(2, 25) for fs in _ordered_factorizations(n)]
+    assert len(groups) == 87
+    groups += [AbelianGroup.parse(d) for d in ("Z63", "Z3xZ21", "Z2xZ2xZ2xZ2xZ2xZ2")]
+    for g in groups:
+        els = [g.from_index(i) for i in range(g.order)]
+        assert g.table == [[g.index_of(g.add(x, y)) for y in els] for x in els], g
+        assert g.negation == [g.index_of(g.neg(x)) for x in els], g
+        assert g.table[0] == list(range(g.order))  # index 0 is the identity
+
+
+@pytest.mark.parametrize("desc", ["Z2xZ4", "Z9", "Z12", "Z3xZ3", "Z2xZ2xZ2", "Z15"])
+def test_blocked_matches_the_definition(desc):
+    grp = AbelianGroup.parse(desc)
+    assert grp.blocked(0) == 0
+    rng = random.Random(43)
+    sum_free = 0
+    for trial in range(300):
+        # small sets are mostly sum-free, uniform masks mostly not
+        k = rng.randint(1, 4) if trial % 2 else rng.randint(0, grp.order)
+        s = GroupSubset.of(grp, rng.sample(grp.elements(), k=k))
+        blocked = grp.blocked(s.mask)
+        assert (s.mask & blocked == 0) == is_sum_free_group(s), (desc, s.members)
+        if s.mask and not s.mask & blocked:
+            sum_free += 1
+            for w in range(grp.order):
+                if not s.mask >> w & 1:
+                    joined = GroupSubset(grp, s.mask | 1 << w)
+                    assert (not blocked >> w & 1) == is_sum_free_group(joined), (desc, s, w)
+    assert sum_free >= 30, desc
 
 
 def test_is_sum_free_group():
