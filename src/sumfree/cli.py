@@ -165,6 +165,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if payload is None:
         if args.oracle:
             import numpy  # noqa: F401  so elapsed_ms leaves out a first import
+        else:
+            from . import kernel
+            kernel.load()  # so elapsed_ms leaves out a first build
         started = time.perf_counter()
         if args.oracle:
             f, fmax = census.oracle_counts(n)

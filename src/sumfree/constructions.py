@@ -43,12 +43,18 @@ from .intset import IntSubset, mask_blocked
 from .linkgraph import link_graph_group, link_graph_ints
 from .mis import EnumerationLimitError, count_mis, enumerate_mis
 
-# built and verified on a 2-core Intel Xeon: ce-odd at n = 56 (2^14 members)
-# in 0.4 s, z2k at k = 6 (2^16) in 3.6 s, index3 in 0.02 s on Z63 (512) and
-# 0.2 s on Z81 (4096); the order limit also bounds index3's and exponent7's
-# member counts, which no member limit checks
-FAMILY_MAX_MEMBERS = 1 << 14
-FAMILY_MAX_ORDER = 64
+# every family is bounded by its claimed member count.  Built and verified
+# on a 2-core Intel Xeon: 2^16 members took 1.3 s for ce-odd and interval at
+# n = 64, 5.2 s for z2k at k = 6, 6.0 and 5.9 s for index3 on Z105 and
+# Z3xZ33; exponent7 on Z7xZ7 (2^6) took 2 ms.  The next sizes are 2^17
+# (ce-odd and interval at 68, index3 on Z3xZ35), 2^32 (z2k at 7) and 2^48
+# (exponent7 on Z7xZ7xZ7)
+FAMILY_MAX_MEMBERS = 1 << 16
+# zn-prism has no members: its census took 8 ms at n = 251, and from 252 on
+# its count refuses the window (81 or more loop-free vertices past
+# mis._VERTEX_LIMIT), while the group's order^2 addition table alone grows
+# to 0.19 s and 46 MB at 1000, 0.88 s and 154 MB at 2000
+FAMILY_MAX_ORDER = 251
 
 
 @dataclass(frozen=True)
@@ -184,21 +190,21 @@ def index3_family(group: AbelianGroup) -> Family:
     """Matching-with-loops construction on an index-3 coset; requires odd
     order divisible by 3."""
     n = group.order
-    _bound(order=n)
     if n % 3 or n % 2 == 0:
         raise FamilyError("need odd order divisible by 3")
-    cosets = coset_partition(group, 3)
     factor = next(f for f in group.factors if f % 3 == 0)  # the cosets' axis
-    size = 2 ** ((n - 3) // 6) if factor == 3 else 2 ** ((n - 9) // 6)
-    return _group_family(group, cosets[2].mask & -cosets[2].mask, cosets[1], size)
+    log2_size = (n - 3) // 6 if factor == 3 else (n - 9) // 6
+    _bound(log2_size)
+    cosets = coset_partition(group, 3)
+    return _group_family(group, cosets[2].mask & -cosets[2].mask, cosets[1], 2**log2_size)
 
 
 def exponent7_family(group: AbelianGroup) -> Family:
     """Perfect-matching construction between two index-7 cosets; requires
     exponent exactly 7 (then the count is 2^{n/7 - 1})."""
-    _bound(order=group.order)
     if group.exponent != 7:
         raise FamilyError("need exponent 7")
+    _bound(group.order // 7 - 1)
     cosets = coset_partition(group, 7)
     window = GroupSubset(group, cosets[2].mask | cosets[3].mask)
     return _group_family(group, cosets[1].mask & -cosets[1].mask, window,

@@ -1,0 +1,230 @@
+/* The branch route's per-seed counts, compiled (see kernel.py).
+
+   For a sum-free seed S in [h], h = n/2, the sets of [n] whose part in [h]
+   is S are S | I with I in the upper half B = (h, n].  Each seed's problem
+   is built here from the definitions, in B's index space (vertex i is the
+   element h + 1 + i):
+
+   - blocked = (S+S) | (S-S) | {s/2 : s in S even}, positive members only;
+   - the link graph on B: i ~ j when their elements differ by a member of S;
+   - free = B less blocked, the vertices that can join S;
+   - one cover pair (y, {y + s : s in S} | {2y}) per open y, an element of
+     [h] that S neither holds nor blocks: S | I blocks y iff I meets the
+     pair's hit set or two members of I differ by y.
+
+   f sums i(G), the independent sets inside free, by i(c) = i(c - v) +
+   i(c minus N[v]) for the lowest v of c, memoised on c.  f_max sums the
+   maximal independent sets that meet every pair, by mis._search's
+   candidates/excluded recursion and pivot rule: the pairs cut a branch whose
+   reach fails one, and with no pair the count is the product over the
+   components of free, memoised on (cand, excl).  The memos are
+   open-addressing tables, emptied per seed by a new stamp. */
+
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef uint64_t u64;
+typedef unsigned __int128 u128;
+
+enum { KERNEL_OK, KERNEL_BAD_INPUT, KERNEL_OVERFLOW, KERNEL_NO_MEMORY };
+
+struct slot { u64 a, b, value, stamp; };
+struct memo { struct slot *slots; size_t mask, used; u64 stamp; };
+
+struct problem {
+    int pairs, err;
+    u64 nbr[64], hit[64];
+    int shift[64];
+    struct memo *count, *mis;
+};
+
+static u64 bit(int i) { return (u64)1 << i; }
+
+static struct slot *probe(struct memo *t, u64 a, u64 b)
+{
+    u64 h = a * 0x9E3779B97F4A7C15u ^ b * 0xC2B2AE3D27D4EB4Fu;
+    size_t i = (size_t)(h ^ h >> 31) & t->mask;
+    while (t->slots[i].stamp == t->stamp && (t->slots[i].a != a || t->slots[i].b != b))
+        i = (i + 1) & t->mask;
+    return &t->slots[i];
+}
+
+static int memo_init(struct memo *t)
+{
+    t->mask = 4095;
+    t->used = 0;
+    t->stamp = 1;
+    t->slots = calloc(t->mask + 1, sizeof *t->slots);
+    return t->slots != NULL;
+}
+
+/* Stores (a, b) -> value, doubling the table past half full. */
+static int memo_store(struct memo *t, u64 a, u64 b, u64 value)
+{
+    if (2 * (t->used + 1) > t->mask + 1) {
+        struct memo grown = { calloc(2 * (t->mask + 1), sizeof *t->slots),
+                              2 * t->mask + 1, t->used, t->stamp };
+        if (!grown.slots)
+            return 0;
+        for (size_t i = 0; i <= t->mask; i++)
+            if (t->slots[i].stamp == t->stamp)
+                *probe(&grown, t->slots[i].a, t->slots[i].b) = t->slots[i];
+        free(t->slots);
+        *t = grown;
+    }
+    struct slot *s = probe(t, a, b);
+    *s = (struct slot){ a, b, value, t->stamp };
+    t->used++;
+    return 1;
+}
+
+static u64 add(struct problem *p, u64 x, u64 y)
+{
+    u64 sum;
+    if (__builtin_add_overflow(x, y, &sum))
+        p->err = KERNEL_OVERFLOW;
+    return sum;
+}
+
+static u64 independent(struct problem *p, u64 c)
+{
+    if (!c || p->err)
+        return 1;
+    struct slot *s = probe(p->count, c, 0);
+    if (s->stamp == p->count->stamp)
+        return s->value;
+    u64 low = c & -c, rest = c ^ low, near = rest & p->nbr[__builtin_ctzll(low)];
+    u64 without = independent(p, rest);
+    u64 total = add(p, without, near ? independent(p, rest ^ near) : without);
+    if (!memo_store(p->count, c, 0, total))
+        p->err = KERNEL_NO_MEMORY;
+    return total;
+}
+
+static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
+{
+    if (p->err)
+        return 0;
+    u64 reach = chosen | cand;
+    for (int k = 0; k < p->pairs; k++)
+        if (!(reach & p->hit[k]) && !(p->shift[k] < 64 && reach & reach >> p->shift[k]))
+            return 0;
+    if (!cand)
+        return !excl;
+    if (!p->pairs) {
+        struct slot *s = probe(p->mis, cand, excl);
+        if (s->stamp == p->mis->stamp)
+            return s->value;
+    }
+    int pivot = 0, best = -1;
+    for (u64 mm = cand | excl; mm; mm &= mm - 1) {
+        int v = __builtin_ctzll(mm), k = __builtin_popcountll(cand & p->nbr[v]);
+        if (best < 0 || k < best) {
+            pivot = v;
+            best = k;
+            if (!k)
+                break;
+        }
+    }
+    u64 total = 0, c = cand, x = excl;
+    for (u64 branch = cand & (p->nbr[pivot] | bit(pivot)); branch; branch &= branch - 1) {
+        u64 low = branch & -branch, near = p->nbr[__builtin_ctzll(low)];
+        total = add(p, total, search(p, c & ~near & ~low, x & ~near, chosen | low));
+        c &= ~low;
+        x |= low;
+    }
+    if (!p->pairs && !memo_store(p->mis, cand, excl, total))
+        p->err = KERNEL_NO_MEMORY;
+    return total;
+}
+
+/* (f, f_max) shares of one seed; the memos get a fresh stamp first. */
+static void seed_counts(struct problem *p, int n, u64 seed, u64 out[2])
+{
+    int h = n / 2, m = n - h;
+    u64 all = m == 64 ? ~(u64)0 : bit(m) - 1;
+    u128 blocked = 0;
+    for (u64 zs = seed; zs; zs &= zs - 1) {
+        int z = __builtin_ctzll(zs) + 1;
+        blocked |= (u128)seed << z | (u128)seed >> z;
+        if (z % 2 == 0)
+            blocked |= (u128)1 << (z / 2 - 1);
+    }
+    for (int i = 0; i < m; i++) {
+        u64 near = 0;
+        for (u64 zs = seed; zs; zs &= zs - 1) {
+            int z = __builtin_ctzll(zs) + 1;
+            if (i + z < m)
+                near |= bit(i + z);
+            if (z <= i)
+                near |= bit(i - z);
+        }
+        p->nbr[i] = near;
+    }
+    u64 free_ = all & ~(u64)(blocked >> h);
+    u64 opened = (u64)((((u128)1 << h) - 1) & ~(u128)seed & ~blocked);
+    p->pairs = 0;
+    for (; opened; opened &= opened - 1) {
+        int y = __builtin_ctzll(opened) + 1;
+        u64 hit = 2 * y > h && 2 * y <= n ? bit(2 * y - h - 1) : 0;
+        for (u64 zs = seed; zs; zs &= zs - 1) {
+            int e = y + __builtin_ctzll(zs) + 1;
+            if (e > h && e <= n)
+                hit |= bit(e - h - 1);
+        }
+        p->shift[p->pairs] = y;
+        p->hit[p->pairs++] = hit;
+    }
+    p->count->stamp++;
+    p->count->used = 0;
+    p->mis->stamp++;
+    p->mis->used = 0;
+    out[0] = independent(p, free_);
+    if (p->pairs) {
+        out[1] = search(p, free_, 0, 0);
+        return;
+    }
+    u64 product = 1;
+    for (u64 rest = free_; rest; ) {
+        u64 comp = rest & -rest, frontier = comp;
+        while (frontier) {
+            u64 next = 0;
+            for (; frontier; frontier &= frontier - 1)
+                next |= p->nbr[__builtin_ctzll(frontier)];
+            frontier = next & rest & ~comp;
+            comp |= frontier;
+        }
+        rest &= ~comp;
+        if (__builtin_mul_overflow(product, search(p, comp, 0, 0), &product))
+            p->err = KERNEL_OVERFLOW;
+    }
+    out[1] = product;
+}
+
+/* Sums (f, f_max) into out over the `count` seeds, each a mask of [n/2]
+   with element z at bit z - 1.  Returns a KERNEL_* code; out is valid only
+   on KERNEL_OK. */
+int sumfree_seed_counts(int n, const u64 *seeds, size_t count, u64 out[2])
+{
+    if (n < 1 || n - n / 2 > 64)
+        return KERNEL_BAD_INPUT;
+    for (size_t k = 0; k < count; k++)
+        if (n / 2 < 64 && seeds[k] >> n / 2)
+            return KERNEL_BAD_INPUT;
+    struct memo count_memo, mis_memo;
+    struct problem p = { .count = &count_memo, .mis = &mis_memo };
+    int ok_count = memo_init(&count_memo), ok_mis = memo_init(&mis_memo);
+    out[0] = out[1] = 0;
+    if (!ok_count || !ok_mis)
+        p.err = KERNEL_NO_MEMORY;
+    for (size_t k = 0; k < count && !p.err; k++) {
+        u64 shares[2];
+        seed_counts(&p, n, seeds[k], shares);
+        out[0] = add(&p, out[0], shares[0]);
+        out[1] = add(&p, out[1], shares[1]);
+    }
+    free(count_memo.slots);
+    free(mis_memo.slots);
+    return p.err;
+}

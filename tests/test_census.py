@@ -3,14 +3,20 @@ oracle, the branch route, and the censuses built on link graphs."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import census, linkgraph
+from sumfree import census, kernel, linkgraph
 from sumfree.census import (
     branch_counts,
     dprime_sum,
@@ -407,6 +413,147 @@ def test_split_balance(monkeypatch):
     assert 8 * max(sets) <= sum(sets)
 
 
+# ---------------------------------------------------------------------------
+# the compiled kernel against the Python route
+# ---------------------------------------------------------------------------
+
+
+def _has_compiler():
+    return shutil.which(kernel._compiler()[0]) is not None
+
+
+def _require_kernel():
+    if kernel.load() is None:
+        pytest.skip("the compiled kernel does not load here")
+
+
+def test_kernel_loads_where_a_compiler_is():
+    # the branch route falls back to Python when the kernel does not load,
+    # so a broken build would pass every count: with a compiler on PATH,
+    # not loading fails here
+    if _has_compiler():
+        assert kernel.load() is not None
+
+
+def test_kernel_matches_seed_counts_seed_by_seed():
+    _require_kernel()
+    for n in range(1, 27):
+        for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
+            assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed]), (n, seed)
+
+
+@st.composite
+def _drawn_seeds(draw):
+    # a sum-free seed in [n/2]: drawn elements, each kept if it leaves the
+    # seed sum-free
+    n = draw(st.integers(27, 70))
+    seed = 0
+    for x in draw(st.lists(st.integers(1, n // 2), max_size=8)):
+        if mask_is_sum_free(seed | 1 << x - 1):
+            seed |= 1 << x - 1
+    return n, seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(_drawn_seeds())
+def test_kernel_matches_seed_counts_on_drawn_seeds(case):
+    _require_kernel()
+    n, seed = case
+    assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed])
+
+
+def test_branch_counts_with_and_without_the_kernel(monkeypatch):
+    _require_kernel()
+    compiled = {(n, w): branch_counts(n, w) for n in range(1, 37) for w in (1, 2)}
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    for (n, w), counts in compiled.items():
+        assert branch_counts(n, w) == counts, (n, w)
+
+
+def test_kernel_reproduces_the_oracle_at_40_and_44():
+    # both confirmed by oracle_counts (2.3 s and 9.3 s)
+    _require_kernel()
+    assert branch_counts(40) == (14158720, 62759)
+    assert branch_counts(44, workers=2) == (55560183, 164835)
+
+
+def test_kernel_limits():
+    _require_kernel()
+    # at 126 the empty seed's share of f is 2^63, the i(G) of 63 isolated
+    # vertices; at 127 it is 2^64, and two of them at 126 sum to 2^64
+    assert kernel.seed_counts(126, [0]) == (2**63, 1)
+    for n, seeds in ((127, [0]), (126, [0, 0])):
+        with pytest.raises(OverflowError):
+            kernel.seed_counts(n, seeds)
+    with pytest.raises(ValueError, match="n - n//2 <= 64"):
+        kernel.seed_counts(129, [])
+    with pytest.raises(ValueError, match=r"masks of \[n/2\]"):
+        kernel.seed_counts(10, [1 << 5])  # the element 6 lies past 10/2
+
+
+@pytest.fixture()
+def build_dir(monkeypatch, tmp_path):
+    # an empty build directory, and no kernel loaded yet in this process
+    monkeypatch.setattr(kernel, "build_dir", lambda: tmp_path / "build")
+    kernel.load.cache_clear()
+    yield tmp_path / "build"
+    kernel.load.cache_clear()
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "exit 1", "timeout", "unwritable"])
+def test_failed_build_falls_back_to_python(monkeypatch, build_dir, capsys, failure):
+    from sumfree import cli
+
+    compilers = {
+        "no compiler": ["/nonexistent/cc"],
+        "exit 1": [sys.executable, "-c", "raise SystemExit(1)"],
+        "timeout": [sys.executable, "-c", "import time; time.sleep(30)"],
+    }
+    if failure == "unwritable":
+        # the build directory would lie under a file
+        build_dir.parent.joinpath("file").write_text("")
+        monkeypatch.setattr(kernel, "build_dir", lambda: build_dir.parent / "file" / "build")
+    else:
+        monkeypatch.setattr(kernel, "_compiler", lambda: compilers[failure])
+    monkeypatch.setattr(kernel, "BUILD_TIMEOUT_S", 0.5)
+    assert kernel.load() is None
+    assert branch_counts(24) == branch_counts(24, workers=2) == (45417, 1043)
+    assert cli.run(["--no-cache", "enumerate", "--n", "20"]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["f"], json.loads(out)["f_max"], err) == (9583, 359, "")
+    assert not build_dir.exists() or not any(build_dir.iterdir())
+
+
+@pytest.mark.parametrize("damage", [lambda lib: lib[: len(lib) // 2],
+                                    lambda lib: b"\x7fELF, but not this library"])
+def test_truncated_or_foreign_library_is_rebuilt(build_dir, damage):
+    if not _has_compiler():
+        pytest.skip("no C compiler on PATH")
+    assert kernel.load() is not None
+    (path,) = build_dir.iterdir()
+    built = path.read_bytes()
+    path.unlink()  # this process maps the library: writing over it in place would fault
+    path.write_bytes(damage(built))
+    kernel.load.cache_clear()
+    assert kernel.load() is not None
+    assert path.read_bytes()[-64:] == built[-64:]  # the digest of the compiled bytes
+    seeds = sum_free_subsets_of(range(1, 13))
+    assert kernel.seed_counts(24, seeds) == census._seed_counts(24, seeds)
+
+
+def test_concurrent_builders_each_finish_one_build(tmp_path):
+    # two fresh processes with one empty build directory (under HOME)
+    if not _has_compiler():
+        pytest.skip("no C compiler on PATH")
+    src = str(Path(census.__file__).resolve().parent.parent)
+    env = {**os.environ, "HOME": str(tmp_path), "PYTHONPATH": src}
+    code = "from sumfree import kernel; assert kernel.load() is not None"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    built = list((tmp_path / ".cache" / "sumfree-kernel").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+
+
 def test_enumeration_examples():
     assert [s.members for s in enumerate_maximal_sum_free(1)] == [(1,)]
     assert [s.members for s in enumerate_maximal_sum_free(2)] == [(1,), (2,)]
@@ -512,7 +659,8 @@ def test_single_even_census_matches_the_walk():
 
 def test_one_blocked_mask_per_seed(monkeypatch):
     # a seed's blocked mask gives both its open elements and its link
-    # graph's loops, so it is computed once per seed
+    # graph's loops, so it is computed once per seed on the Python route
+    monkeypatch.setattr(kernel, "load", lambda: None)
     calls = []
 
     def counting(mask):

@@ -396,13 +396,16 @@ def nothing_built(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # the smallest inputs past 2^14 members: 2^15 each, and 2^16 for z2k
-    ["--family", "ce-odd", "--n", "60"],
-    ["--family", "interval", "--n", "60"],
-    ["--family", "z2k", "--k", "6"],
+    # the smallest inputs past 2^16 members: 2^17 for ce-odd, interval and
+    # index3, 2^32 for z2k and 2^48 for exponent7
+    ["--family", "ce-odd", "--n", "68"],
+    ["--family", "interval", "--n", "68"],
+    ["--family", "z2k", "--k", "7"],
+    ["--family", "index3", "--group", "Z3xZ35"],
+    ["--family", "exponent7", "--group", "Z7xZ7xZ7"],
 ])
 def test_family_member_limit(capsys, nothing_built, argv):
-    assert FAMILY_MAX_MEMBERS == 1 << 14
+    assert FAMILY_MAX_MEMBERS == 1 << 16
     code, out, err = invoke(capsys, "construct", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and f"family limit {FAMILY_MAX_MEMBERS}" in err
@@ -410,10 +413,9 @@ def test_family_member_limit(capsys, nothing_built, argv):
 
 @pytest.mark.parametrize("argv", [
     ["--family", "zn-prism", "--n", str(FAMILY_MAX_ORDER + 1)],
-    ["--family", "index3", "--group", f"Z{FAMILY_MAX_ORDER + 1}"],
-    ["--family", "exponent7", "--group", f"Z{FAMILY_MAX_ORDER + 1}"],
 ])
 def test_family_order_limit(capsys, nothing_built, argv):
+    assert FAMILY_MAX_ORDER == 251
     code, out, err = invoke(capsys, "construct", *argv)
     assert (code, out) == (2, "")
     assert err == (f"error: group order {FAMILY_MAX_ORDER + 1} exceeds the family "
@@ -546,7 +548,7 @@ def fresh_python(*args: str) -> str:
 def test_start_up_loads_only_what_the_route_needs():
     loaded = fresh_python(
         "-c",
-        "import sys, sumfree.cli; print(sorted(m for m in ('numpy', "
+        "import sys, sumfree.cli; print(sorted(m for m in ('numpy', 'ctypes', "
         "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))",
     )
     assert loaded.strip() == "[]"
@@ -561,6 +563,20 @@ def test_start_up_loads_only_what_the_route_needs():
             # the n = 12 table takes about 1 ms, numpy's first import about
             # 100 ms, and the record times only the table
             assert record["elapsed_ms"] < 50
+
+
+def test_enumerate_times_the_count_not_the_kernel_build(tmp_path):
+    # with an empty build directory (under HOME) the first run builds the
+    # kernel, about 0.15 s, before its timer starts; n = 16 counts in 1 ms
+    src = str(Path(sumfree.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "sumfree.cli", "--no-cache", "enumerate", "--n", "16"],
+        env={**os.environ, "HOME": str(tmp_path), "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    record = json.loads(done.stdout)
+    assert (record["f"], record["f_max"], done.stderr) == (1954, 118, "")
+    assert record["elapsed_ms"] < 50
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

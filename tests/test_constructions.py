@@ -8,7 +8,6 @@ import pytest
 
 from sumfree.census import enumerate_maximal_sum_free, f_max_oracle
 from sumfree.constructions import (
-    FAMILY_MAX_ORDER,
     FamilyError,
     ce_odd_family,
     exponent7_family,
@@ -118,8 +117,9 @@ def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
 def test_index3_family_size_depends_on_the_coset_axis():
     # H is the kernel on the first axis divisible by 3: the anchor has order
     # 3 exactly when that axis is Z3, and then the link graph has one loop
-    # fewer and no forced vertex
-    groups = [AbelianGroup(f) for n in range(3, FAMILY_MAX_ORDER + 1, 6)
+    # fewer and no forced vertex; the groups are every factorisation of the
+    # odd orders 3, 9, ..., 63
+    groups = [AbelianGroup(f) for n in range(3, 64, 6)
               for f in _ordered_factorizations(n)]
     assert len(groups) == 41
     for grp in groups:
