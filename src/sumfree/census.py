@@ -16,7 +16,9 @@ Two independent routes are provided and cross-checked:
   S leaves open.  Chunks of seeds are the tasks of a process pool.  The
   compiled kernel (`kernel.seed_counts`) counts the chunks when it loads
   (5 ms against 200 ms for `_seed_counts` at n = 32); `_seed_counts` counts
-  them otherwise, and is the kernel's reference in the tests.
+  them otherwise, and is the kernel's reference in the tests.  Its MIS
+  counts run on the kernel's search too when the kernel loads, so the tests
+  that compare the two run it with `kernel.load` patched to None.
 
 One per-seed step, `_seed_graph` (a seed's link graph on a sum-free part
 and the cover of the elements it leaves open), serves the branch counts, the

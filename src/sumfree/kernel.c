@@ -1,24 +1,32 @@
-/* The branch route's per-seed counts, compiled (see kernel.py).
+/* The compiled MIS recursion and the branch route's per-seed counts (see
+   kernel.py).
 
-   For a sum-free seed S in [h], h = n/2, the sets of [n] whose part in [h]
-   is S are S | I with I in the upper half B = (h, n].  Each seed's problem
-   is built here from the definitions, in B's index space (vertex i is the
-   element h + 1 + i):
+   `search` is mis._search's candidates/excluded recursion with its pivot
+   rule: it counts the maximal independent sets that meet every cover pair,
+   cutting a branch whose reach fails one, and with no pair and no listing
+   memoises on (cand, excl).  `mis_count` runs it on one root, or with no
+   pair and no listing takes the product over the components of free.  Two
+   entry points call it:
 
-   - blocked = (S+S) | (S-S) | {s/2 : s in S even}, positive members only;
-   - the link graph on B: i ~ j when their elements differ by a member of S;
-   - free = B less blocked, the vertices that can join S;
-   - one cover pair (y, {y + s : s in S} | {2y}) per open y, an element of
-     [h] that S neither holds nor blocks: S | I blocks y iff I meets the
-     pair's hit set or two members of I differ by y.
+   - sumfree_mis, on any graph of at most 64 vertices and 64 pairs given by
+     the caller: the count, or the chosen set at each maximal leaf, listed
+     in the search's order into a buffer that grows on demand;
+   - sumfree_seed_counts, which builds each seed's problem itself from the
+     definitions.  For a sum-free seed S in [h], h = n/2, the sets of [n]
+     whose part in [h] is S are S | I with I in the upper half B = (h, n],
+     in B's index space (vertex i is the element h + 1 + i):
+     - blocked = (S+S) | (S-S) | {s/2 : s in S even}, positive members only;
+     - the link graph on B: i ~ j when their elements differ by a member of S;
+     - free = B less blocked, the vertices that can join S;
+     - one cover pair (y, {y + s : s in S} | {2y}) per open y, an element of
+       [h] that S neither holds nor blocks: S | I blocks y iff I meets the
+       pair's hit set or two members of I differ by y.
+     f sums i(G), the independent sets inside free, by i(c) = i(c - v) +
+     i(c minus N[v]) for the lowest v of c, memoised on c; f_max sums
+     mis_count.
 
-   f sums i(G), the independent sets inside free, by i(c) = i(c - v) +
-   i(c minus N[v]) for the lowest v of c, memoised on c.  f_max sums the
-   maximal independent sets that meet every pair, by mis._search's
-   candidates/excluded recursion and pivot rule: the pairs cut a branch whose
-   reach fails one, and with no pair the count is the product over the
-   components of free, memoised on (cand, excl).  The memos are
-   open-addressing tables, emptied per seed by a new stamp. */
+   The memos are open-addressing tables: sumfree_mis makes one per call,
+   sumfree_seed_counts empties its two per seed by a new stamp. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -32,11 +40,15 @@ enum { KERNEL_OK, KERNEL_BAD_INPUT, KERNEL_OVERFLOW, KERNEL_NO_MEMORY };
 struct slot { u64 a, b, value, stamp; };
 struct memo { struct slot *slots; size_t mask, used; u64 stamp; };
 
+/* A listing's sets, grown by doubling. */
+struct listing { u64 *sets; size_t used, size; };
+
 struct problem {
     int pairs, err;
     u64 nbr[64], hit[64];
     int shift[64];
     struct memo *count, *mis;
+    struct listing *out;  /* set: list each maximal leaf, memo off */
 };
 
 static u64 bit(int i) { return (u64)1 << i; }
@@ -102,6 +114,22 @@ static u64 independent(struct problem *p, u64 c)
     return total;
 }
 
+static void list_set(struct problem *p, u64 set)
+{
+    struct listing *l = p->out;
+    if (l->used == l->size) {
+        size_t size = l->size ? 2 * l->size : 64;
+        u64 *grown = realloc(l->sets, size * sizeof *grown);
+        if (!grown) {
+            p->err = KERNEL_NO_MEMORY;
+            return;
+        }
+        l->sets = grown;
+        l->size = size;
+    }
+    l->sets[l->used++] = set;
+}
+
 static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
 {
     if (p->err)
@@ -110,9 +138,13 @@ static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
     for (int k = 0; k < p->pairs; k++)
         if (!(reach & p->hit[k]) && !(p->shift[k] < 64 && reach & reach >> p->shift[k]))
             return 0;
-    if (!cand)
+    if (!cand) {
+        if (!excl && p->out)
+            list_set(p, chosen);
         return !excl;
-    if (!p->pairs) {
+    }
+    int memo = !p->pairs && !p->out;
+    if (memo) {
         struct slot *s = probe(p->mis, cand, excl);
         if (s->stamp == p->mis->stamp)
             return s->value;
@@ -134,9 +166,33 @@ static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
         c &= ~low;
         x |= low;
     }
-    if (!p->pairs && !memo_store(p->mis, cand, excl, total))
+    if (memo && !memo_store(p->mis, cand, excl, total))
         p->err = KERNEL_NO_MEMORY;
     return total;
+}
+
+/* The maximal independent sets inside free that meet every pair, each
+   listed if p->out is set.  A pair can join components and a listing is
+   one search, so only a plain count multiplies theirs. */
+static u64 mis_count(struct problem *p, u64 free_)
+{
+    if (p->pairs || p->out)
+        return search(p, free_, 0, 0);
+    u64 product = 1;
+    for (u64 rest = free_; rest; ) {
+        u64 comp = rest & -rest, frontier = comp;
+        while (frontier) {
+            u64 next = 0;
+            for (; frontier; frontier &= frontier - 1)
+                next |= p->nbr[__builtin_ctzll(frontier)];
+            frontier = next & rest & ~comp;
+            comp |= frontier;
+        }
+        rest &= ~comp;
+        if (__builtin_mul_overflow(product, search(p, comp, 0, 0), &product))
+            p->err = KERNEL_OVERFLOW;
+    }
+    return product;
 }
 
 /* (f, f_max) shares of one seed; the memos get a fresh stamp first. */
@@ -181,25 +237,7 @@ static void seed_counts(struct problem *p, int n, u64 seed, u64 out[2])
     p->mis->stamp++;
     p->mis->used = 0;
     out[0] = independent(p, free_);
-    if (p->pairs) {
-        out[1] = search(p, free_, 0, 0);
-        return;
-    }
-    u64 product = 1;
-    for (u64 rest = free_; rest; ) {
-        u64 comp = rest & -rest, frontier = comp;
-        while (frontier) {
-            u64 next = 0;
-            for (; frontier; frontier &= frontier - 1)
-                next |= p->nbr[__builtin_ctzll(frontier)];
-            frontier = next & rest & ~comp;
-            comp |= frontier;
-        }
-        rest &= ~comp;
-        if (__builtin_mul_overflow(product, search(p, comp, 0, 0), &product))
-            p->err = KERNEL_OVERFLOW;
-    }
-    out[1] = product;
+    out[1] = mis_count(p, free_);
 }
 
 /* Sums (f, f_max) into out over the `count` seeds, each a mask of [n/2]
@@ -227,4 +265,43 @@ int sumfree_seed_counts(int n, const u64 *seeds, size_t count, u64 out[2])
     free(count_memo.slots);
     free(mis_memo.slots);
     return p.err;
+}
+
+/* The maximal independent sets of the graph nbr on the vertex mask free
+   (vertex i is bit i, i < verts <= 64, with neighbour mask nbr[i]) that
+   meet each pair (shifts[k], hits[k]), k < pairs <= 64: some member in
+   hits[k], or, for shifts[k] < 64, two members shifts[k] apart.  out[0]
+   is their number; when `listing`, out[1] is the address of a buffer of
+   that many vertex masks in mis._search's order (or 0 for none), which the
+   caller frees with sumfree_release.  Returns a KERNEL_* code; out is valid
+   only on KERNEL_OK. */
+int sumfree_mis(const u64 *nbr, int verts, u64 free_, const int *shifts,
+                const u64 *hits, int pairs, int listing, u64 out[2])
+{
+    if (verts < 0 || verts > 64 || pairs < 0 || pairs > 64 || (verts < 64 && free_ >> verts))
+        return KERNEL_BAD_INPUT;
+    struct memo memo = { 0 };
+    struct listing sets = { 0 };
+    struct problem p = { .pairs = pairs, .mis = &memo, .out = listing ? &sets : NULL };
+    for (int i = 0; i < verts; i++)
+        p.nbr[i] = nbr[i];
+    for (int k = 0; k < pairs; k++) {
+        if (shifts[k] < 0)
+            return KERNEL_BAD_INPUT;
+        p.shift[k] = shifts[k];
+        p.hit[k] = hits[k];
+    }
+    if (!pairs && !listing && !memo_init(&memo))
+        p.err = KERNEL_NO_MEMORY;
+    out[0] = p.err ? 0 : mis_count(&p, free_);
+    out[1] = (uintptr_t)sets.sets;
+    free(memo.slots);
+    if (p.err)
+        free(sets.sets);
+    return p.err;
+}
+
+void sumfree_release(u64 *sets)
+{
+    free(sets);
 }

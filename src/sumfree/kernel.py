@@ -1,9 +1,15 @@
-"""The branch route's per-seed counts from compiled C (`kernel.c`).
+"""Compiled C (`kernel.c`): the MIS recursion and the branch route's
+per-seed counts.
 
-`seed_counts(n, seeds)` gives what `census._seed_counts` gives.  The C code
-builds each seed's problem itself from the definitions and shares no code
-with the Python route, which stays as the reference the tests compare it
-against.
+`mis_search(nbr, free, cover, out)` runs `mis._search`'s recursion, pivot
+rule and memo in C on any problem of at most MAX_PART vertices and pairs:
+it gives the same count, and appends the same sets in the same order.
+`mis.count_covering_mis` and `mis.mis_masks` call it first and run
+`_search`, the reference the tests compare it against, when it returns
+None.  `seed_counts(n, seeds)` gives what `census._seed_counts` gives.  The
+C code builds each seed's problem itself from the definitions.
+`_seed_counts` is its reference in the tests with the kernel patched out,
+since its MIS counts otherwise run on the same compiled recursion.
 
 `load` compiles the source on first use with sysconfig's CC into
 `~/.cache/sumfree-kernel/`, a build directory that persists across
@@ -27,16 +33,18 @@ import subprocess
 import sysconfig
 from array import array
 from pathlib import Path
+from typing import Optional, Sequence
 
 SOURCE = Path(__file__).with_name("kernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 # the build takes about 0.15 s on a 2-core Intel Xeon with gcc 12.2
 BUILD_TIMEOUT_S = 60
-# the upper half's vertices are the bits of one uint64 index mask
+# vertices are the bits of one uint64 index mask, and a problem has at most
+# one cover pair per vertex
 MAX_PART = 64
-# kernel.c's return codes past 0, KERNEL_OK
-_ERRORS = {1: (ValueError, "seeds must be masks of [n/2], n >= 1"),
-           2: (OverflowError, "a count exceeds 64 bits"),
+# kernel.c's return codes past 1, KERNEL_BAD_INPUT, which each entry point
+# words itself
+_ERRORS = {2: (OverflowError, "a count exceeds 64 bits"),
            3: (MemoryError, "the kernel's memo could not grow")}
 _MAGIC = b"sumfree-kernel "
 
@@ -78,9 +86,9 @@ def _build(cc: list[str], path: Path, key: str) -> None:
 
 @functools.cache
 def load():
-    """The kernel's entry point, `sumfree_seed_counts`, from the library
-    built for this source, compiler and flags, built first if there is
-    none; None if it cannot be built or loaded."""
+    """The library built for this source, compiler and flags, built first
+    if there is none, with its entry points declared; None if it cannot be
+    built or loaded."""
     import ctypes
     cc = _compiler()
     try:
@@ -88,14 +96,60 @@ def load():
         path = build_dir() / f"{key}.so"
         if not _intact(path, key):
             _build(cc, path, key)
-        fn = ctypes.CDLL(str(path)).sumfree_seed_counts
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
     # buffers pass as addresses: a ctypes array type made per call would be
     # cyclic garbage
-    fn.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
-    fn.restype = ctypes.c_int
-    return fn
+    addr, c_int = ctypes.c_void_p, ctypes.c_int
+    lib.sumfree_seed_counts.argtypes = (c_int, addr, ctypes.c_size_t, addr)
+    lib.sumfree_mis.argtypes = (addr, c_int, ctypes.c_uint64, addr, addr, c_int, c_int, addr)
+    lib.sumfree_seed_counts.restype = lib.sumfree_mis.restype = c_int
+    lib.sumfree_release.argtypes = (addr,)
+    lib.sumfree_release.restype = None
+    return lib
+
+
+def _check(code: int, bad_input: str) -> None:
+    """Raise for a kernel.c return code other than KERNEL_OK."""
+    if code:
+        error, message = _ERRORS.get(code, (ValueError, bad_input))
+        raise error(message)
+
+
+def mis_search(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
+               out: Optional[list[int]] = None) -> Optional[int]:
+    """The number of maximal independent sets of `nbr` inside the vertex
+    mask `free` that meet `cover` (as `mis.count_covering_mis` reads it),
+    each appended to `out` if given, in `mis._search`'s order.  None when
+    the library does not load, `cover` has more than MAX_PART pairs, or
+    `free` spans more than MAX_PART bits.
+
+    The problem is moved down by the lowest bit of `free`: that keeps each
+    pair's difference test and the vertex order, and so the listing."""
+    lib = load()
+    low = (free & -free).bit_length() - 1 if free else 0
+    part = free >> low
+    span = part.bit_length()
+    if lib is None or len(cover) > MAX_PART or span > MAX_PART:
+        return None
+    masks = array("Q", [nbr[v] >> low & part for v in range(low, low + span)])
+    shifts = array("i", [min(shift, MAX_PART) for shift, _ in cover])
+    hits = array("Q", [hit >> low & part for _, hit in cover])
+    res = array("Q", (0, 0))
+    _check(lib.sumfree_mis(masks.buffer_info()[0], span, part, shifts.buffer_info()[0],
+                           hits.buffer_info()[0], len(cover), out is not None,
+                           res.buffer_info()[0]),
+           "at most 64 vertices and 64 pairs, no negative shift")
+    count, sets = res
+    if sets:
+        import ctypes
+        try:
+            listed = array("Q", ctypes.string_at(sets, 8 * count))
+        finally:
+            lib.sumfree_release(sets)
+        out.extend([m << low for m in listed] if low else listed)
+    return count
 
 
 def seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
@@ -104,12 +158,10 @@ def seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     raises OverflowError rather than let a 64-bit sum wrap."""
     if n - n // 2 > MAX_PART:
         raise ValueError(f"the kernel takes n - n//2 <= {MAX_PART}, not {n - n // 2}")
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         raise RuntimeError("the compiled kernel could not be built or loaded")
     batch, out = array("Q", seeds), array("Q", (0, 0))
-    code = fn(n, batch.buffer_info()[0], len(batch), out.buffer_info()[0])
-    if code:
-        error, message = _ERRORS[code]
-        raise error(message)
+    _check(lib.sumfree_seed_counts(n, batch.buffer_info()[0], len(batch), out.buffer_info()[0]),
+           "seeds must be masks of [n/2], n >= 1")
     return out[0], out[1]

@@ -22,6 +22,11 @@ once no set below it can.  Listing refuses past its cap (unless the
 3^{n/3} bound already keeps it under) and appends the chosen set at each
 maximal leaf of the unmemoised recursion.  `enumerate_mis` returns label tuples in
 canonical order (lexicographic on sorted vertex labels).
+
+A problem whose `free` spans at most 64 bits, with at most 64 cover pairs,
+runs on the compiled copy of this recursion, `kernel.mis_search`, when the
+kernel loads: the same counts, and the same sets in the same order.
+`_search` runs the rest, and is the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an exact computation would exceed its configured cap."""
 
 
-# loop-free vertices counted or listed.  At 80, path and cycle count in
-# 2 ms, but a random graph with edge chance 0.1 took 15.7 s (10905819 sets)
-# and one with 0.3 took 0.49 s, on a 2-core Intel Xeon, Python 3.11.7
+# loop-free vertices counted or listed.  Past the kernel's 64 the count runs
+# in Python's _search: at 80, path and cycle count in 2 ms, but a random
+# graph with edge chance 0.1 took 15.7 s (10905819 sets) and one with 0.3
+# took 0.49 s, on a 2-core Intel Xeon, Python 3.11.7
 _VERTEX_LIMIT = 80
 
 
@@ -70,7 +76,11 @@ def count_covering_mis(nbr: Sequence[int], free: int,
     with I & hit or I & I >> shift for each (shift, hit) in `cover`.  A pair
     can join components, so only a plain count multiplies theirs."""
     check_vertex_limit(free.bit_count())
-    return _search(nbr, [free] if cover else component_masks(nbr, free), cover)
+    from . import kernel
+    count = kernel.mis_search(nbr, free, cover)
+    if count is None:
+        count = _search(nbr, [free] if cover else component_masks(nbr, free), cover)
+    return count
 
 
 def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
@@ -82,8 +92,10 @@ def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = 
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
     if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free, cover) > cap:
         raise EnumerationLimitError(f"more than {cap} maximal independent sets")
+    from . import kernel
     sets: list[int] = []
-    _search(nbr, [free], cover, out=sets)
+    if kernel.mis_search(nbr, free, cover, out=sets) is None:
+        _search(nbr, [free], cover, out=sets)
     return sets
 
 

@@ -427,6 +427,23 @@ def _require_kernel():
         pytest.skip("the compiled kernel does not load here")
 
 
+def _python_seed_counts(n, seeds):
+    # with the kernel patched out, so that the MIS counts come from
+    # mis._search and not from the compiled search under test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "load", lambda: None)
+        return census._seed_counts(n, seeds)
+
+
+def test_kernel_compiles_without_warnings():
+    cc = kernel._compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    done = subprocess.run([*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_kernel_loads_where_a_compiler_is():
     # the branch route falls back to Python when the kernel does not load,
     # so a broken build would pass every count: with a compiler on PATH,
@@ -438,8 +455,9 @@ def test_kernel_loads_where_a_compiler_is():
 def test_kernel_matches_seed_counts_seed_by_seed():
     _require_kernel()
     for n in range(1, 27):
-        for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
-            assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed]), (n, seed)
+        seeds = sum_free_subsets_of(range(1, n // 2 + 1))
+        compiled = [kernel.seed_counts(n, [seed]) for seed in seeds]
+        assert compiled == [_python_seed_counts(n, [seed]) for seed in seeds], n
 
 
 @st.composite
@@ -459,7 +477,7 @@ def _drawn_seeds(draw):
 def test_kernel_matches_seed_counts_on_drawn_seeds(case):
     _require_kernel()
     n, seed = case
-    assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed])
+    assert kernel.seed_counts(n, [seed]) == _python_seed_counts(n, [seed])
 
 
 def test_branch_counts_with_and_without_the_kernel(monkeypatch):
@@ -538,7 +556,7 @@ def test_truncated_or_foreign_library_is_rebuilt(build_dir, damage):
     assert kernel.load() is not None
     assert path.read_bytes()[-64:] == built[-64:]  # the digest of the compiled bytes
     seeds = sum_free_subsets_of(range(1, 13))
-    assert kernel.seed_counts(24, seeds) == census._seed_counts(24, seeds)
+    assert kernel.seed_counts(24, seeds) == _python_seed_counts(24, seeds)
 
 
 def test_concurrent_builders_each_finish_one_build(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sumfree
-from sumfree import cache, checks, cli, constructions
+from sumfree import cache, checks, cli, constructions, kernel
 from sumfree.cache import cache_key, cache_lookup, cache_store
 from sumfree.cli import ENUMERATE_MAX_N, MAX_WORKERS, run
 from sumfree.constructions import FAMILY_MAX_MEMBERS, FAMILY_MAX_ORDER
@@ -579,7 +580,24 @@ def test_enumerate_times_the_count_not_the_kernel_build(tmp_path):
     assert record["elapsed_ms"] < 50
 
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+def test_verify_times_the_checks_not_the_kernel_build(tmp_path):
+    # cycle-recurrence counts the MIS of cycles of up to 24 vertices on the
+    # kernel in about 2 ms; an empty build directory (under HOME) makes this
+    # run build the kernel first, about 0.15 s, before the check's timer
+    src = str(Path(sumfree.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "sumfree.cli", "verify", "--check", "cycle-recurrence"],
+        env={**os.environ, "HOME": str(tmp_path), "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    record = json.loads(done.stdout)
+    assert (record["passed"], done.stderr) == (True, "")
+    assert record["elapsed_ms"] < 50
+    if shutil.which(kernel._compiler()[0]):
+        assert any((tmp_path / ".cache" / "sumfree-kernel").iterdir())
+
+
+SCRIPTS =Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _table_rows(out: str) -> list[list[str]]:

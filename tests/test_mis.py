@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import census, cli, mis
+from sumfree import census, cli, kernel, mis
 from sumfree.checks import bounds_corpus
 from sumfree.graph import (
     Graph,
     _bits,
     are_isomorphic,
+    component_masks,
     cycle,
     disjoint_p3_packing,
     disjoint_union,
@@ -200,6 +201,107 @@ def test_cap_counts_the_covered_sets():
     assert len(mis_masks(g.nbr, _free(g), cover, cap=4)) == 4
     with pytest.raises(EnumerationLimitError):
         mis_masks(g.nbr, _free(g), cover, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# the compiled search (kernel.mis_search) against mis._search
+# ---------------------------------------------------------------------------
+
+
+def _require_kernel():
+    if kernel.load() is None:
+        pytest.skip("the compiled kernel does not load here")
+
+
+@st.composite
+def wide_problems(draw):
+    """(nbr, free, cover): a random graph on up to 64 vertices whose masks
+    are moved up by an offset, free leaving out its loop vertices, and up to
+    four pairs whose shifts run past 64.  Past 32 vertices the edge chance
+    is at least 0.4, so _search lists at most a few thousand sets."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    offset = draw(st.sampled_from([0, 1, 9, 64, 100]))
+    chance = draw(st.floats(min_value=0.4 if n > 32 else 0.0, max_value=0.9))
+    rng = draw(st.randoms(use_true_random=False))
+    nbr = [0] * (offset + n)
+    for i in range(offset, offset + n):
+        for j in range(i + 1, offset + n):
+            if rng.random() < chance:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    loops = sum(1 << offset + i for i in range(n) if rng.random() < 0.1)
+    free = ((1 << n) - 1 << offset) & ~loops
+    shift = st.integers(min_value=1, max_value=100)
+    cover = [(draw(shift), rng.getrandbits(n) << offset)
+             for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    return nbr, free, cover
+
+
+@given(wide_problems())
+@settings(max_examples=60, deadline=None)
+def test_kernel_search_matches_the_python_search(problem):
+    # the same counts, and the same listing in the same order: the pivot
+    # rule and the branch order are the same
+    _require_kernel()
+    nbr, free, cover = problem
+    assert kernel.mis_search(nbr, free) == mis._search(nbr, component_masks(nbr, free))
+    assert kernel.mis_search(nbr, free, cover) == mis._search(nbr, [free], cover)
+    compiled, python = [], []
+    kernel.mis_search(nbr, free, cover, out=compiled)
+    mis._search(nbr, [free], cover, out=python)
+    assert compiled == python
+
+
+@pytest.fixture()
+def python_searches(monkeypatch):
+    # the roots of every mis._search call from here on
+    roots = []
+
+    def recording(nbr, rts, *args, **kwargs):
+        rts = list(rts)
+        roots.append(rts)
+        return search(nbr, rts, *args, **kwargs)
+
+    search = mis._search
+    monkeypatch.setattr(mis, "_search", recording)
+    return roots
+
+
+def test_kernel_falls_back_to_the_python_search(monkeypatch, python_searches):
+    _require_kernel()
+    # 64 vertices and 64 pairs run on the kernel
+    assert count_mis(cycle(64)) == mis_cycle(64)
+    g = matching(12)
+    pair = (24, 1 << 2)  # the edge at 2 must use its even end: half the sets
+    assert count_covering_mis(g.nbr, _free(g), [pair] * 64) == 2**11
+    assert python_searches == []
+    # 80 vertices: the cycle's MIS count is the Perrin number P(80)
+    perrin = [3, 0, 2]
+    while len(perrin) <= 80:
+        perrin.append(perrin[-2] + perrin[-3])
+    assert count_mis(cycle(80)) == perrin[80] == 5886726725
+    # 65 pairs
+    assert count_covering_mis(g.nbr, _free(g), [pair] * 65) == 2**11
+    assert len(mis_masks(g.nbr, _free(g), [pair] * 65)) == 2**11
+    assert len(python_searches) == 3
+    # no kernel: the same counts, all in Python
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    python_searches.clear()
+    assert count_mis(cycle(64)) == mis_cycle(64)
+    assert count_covering_mis(g.nbr, _free(g), [pair] * 64) == 2**11
+    assert len(mis_masks(g.nbr, _free(g), [pair])) == 2**11
+    assert len(python_searches) == 3
+
+
+def test_kernel_listing_cap(python_searches):
+    _require_kernel()
+    # 2^20 sets on 40 vertices: counted on the kernel, then refused
+    g = matching(20)
+    with pytest.raises(EnumerationLimitError, match=r"^more than 1000 maximal independent sets$"):
+        mis_masks(g.nbr, _free(g), cap=1000)
+    # the listing buffer grows with the sets, never to the cap up front
+    assert len(mis_masks(cycle(30).nbr, _free(cycle(30)), cap=2**62)) == mis_cycle(30)
+    assert python_searches == []
 
 
 def test_searches_leave_no_reference_cycle():
