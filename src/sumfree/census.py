@@ -15,10 +15,9 @@ Two independent routes are provided and cross-checked:
   search, none listed) the maximal ones that also block every lower element
   S leaves open.  Chunks of seeds are the tasks of a process pool.  The
   compiled kernel (`kernel.seed_counts`) counts the chunks when it loads
-  (5 ms against 200 ms for `_seed_counts` at n = 32); `_seed_counts` counts
-  them otherwise, and is the kernel's reference in the tests.  Its MIS
-  counts run on the kernel's search too when the kernel loads, so the tests
-  that compare the two run it with `kernel.load` patched to None.
+  (5 ms against 200 ms at n = 32), and its Python twin `_seed_counts`,
+  which runs no compiled code and is the kernel's reference in the tests,
+  counts them otherwise.
 
 One per-seed step, `_seed_graph` (a seed's link graph on a sum-free part
 and the cover of the elements it leaves open), serves the branch counts, the
@@ -51,8 +50,7 @@ from .intset import (
     mask_is_sum_free,
 )
 from .linkgraph import link_masks, link_pair_even, link_single_even
-from .mis import (EnumerationLimitError, count_covering_mis, count_independent,
-                  count_mis, mis_masks)
+from .mis import EnumerationLimitError, _search, count_independent, count_mis, mis_masks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,15 +212,15 @@ def _seed_listing(seed: int, part: int, n: int) -> list[int]:
 def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     """(f, f_max) over the sets of [n] whose part in [n/2] is in `seeds`,
     by `_seed_graph` on the upper half: the independent sets, and the
-    maximal ones under the cover, counted in one pruned search that lists
-    none.  2 min B passes n there, so no open y is unpaired."""
+    maximal ones under the cover, counted in one pruned `mis._search` that
+    lists none.  2 min B passes n there, so no open y is unpaired."""
     half = n // 2
     upper = (1 << n) - 1 >> half << half
     f = f_max = 0
     for seed in seeds:
         nbr, free, cover, _ = _seed_graph(seed, upper, n)
         f += count_independent(nbr, free)
-        f_max += count_covering_mis(nbr, free, cover)
+        f_max += _search(nbr, free, cover)
     return f, f_max
 
 

@@ -47,7 +47,7 @@ from .graph import (
 )
 from .engine import _walk
 from .group import AbelianGroup, _searchable
-from .intset import IntSubset, iter_mask, mask_can_add
+from .intset import IntSubset, iter_mask, mask_blocked
 from .linkgraph import link_family, link_graph_ints, link_single_even
 from .mis import bound_certificates, count_mis, enumerate_mis, mis_cycle
 
@@ -99,11 +99,13 @@ def _check(name: str) -> Callable[[Callable[..., tuple]], CheckFn]:
 
 
 def _random_sum_free(rng: random.Random, n: int, tries: int = 60) -> list[int]:
-    mask = 0
+    # taken: the set and its blocked mask, recomputed only when the set grows
+    mask = taken = 0
     for _ in range(tries):
         x = rng.randint(1, n)
-        if mask_can_add(mask, x):
+        if not taken >> (x - 1) & 1:
             mask |= 1 << (x - 1)
+            taken = mask | mask_blocked(mask)
     return list(iter_mask(mask))
 
 

@@ -151,8 +151,7 @@ def _family_graph(spec: str) -> Graph:
 
 
 def _load_kernel() -> None:
-    """Load the compiled kernel, building it on a box's first run, so a
-    timer started after this leaves out the build (about 0.15 s)."""
+    """Load the compiled kernel, so a timer started next leaves out a first build (0.15 s)."""
     from . import kernel
     kernel.load()
 
@@ -197,7 +196,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_mis(args: argparse.Namespace) -> int:
-    _load_kernel()
     if args.graph:
         g = from_text(Path(args.graph).read_text())
     else:

@@ -1,15 +1,13 @@
 """Compiled C (`kernel.c`): the MIS recursion and the branch route's
 per-seed counts.
 
-`mis_search(nbr, free, cover, out)` runs `mis._search`'s recursion, pivot
-rule and memo in C on any problem of at most MAX_PART vertices and pairs:
-it gives the same count, and appends the same sets in the same order.
-`mis.count_covering_mis` and `mis.mis_masks` call it first and run
-`_search`, the reference the tests compare it against, when it returns
-None.  `seed_counts(n, seeds)` gives what `census._seed_counts` gives.  The
-C code builds each seed's problem itself from the definitions.
-`_seed_counts` is its reference in the tests with the kernel patched out,
-since its MIS counts otherwise run on the same compiled recursion.
+Each entry point has one Python twin that takes the same arguments and is
+its reference in the tests.  `mis_search(nbr, free, cover, out)` is
+`mis._search`'s recursion, pivot rule and memo on at most MAX_PART vertices
+and pairs; `mis._mis` runs it, or `_search` when it returns None.
+`seed_counts(n, seeds)` is `census._seed_counts`, each seed's problem built
+in C from the definitions; `census.branch_counts` runs it when the kernel
+loads, and `_seed_counts` otherwise.
 
 `load` compiles the source on first use with sysconfig's CC into
 `~/.cache/sumfree-kernel/`, a build directory that persists across
@@ -29,7 +27,6 @@ import functools
 import hashlib
 import os
 import shlex
-import subprocess
 import sysconfig
 from array import array
 from pathlib import Path
@@ -72,6 +69,8 @@ def _intact(path: Path, key: str) -> bool:
 
 
 def _build(cc: list[str], path: Path, key: str) -> None:
+    """Compile the library to `path`, or raise OSError; only a build imports subprocess."""
+    import subprocess
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -80,6 +79,8 @@ def _build(cc: list[str], path: Path, key: str) -> None:
         body = tmp.read_bytes()
         tmp.write_bytes(body + _trailer(key, body))
         os.replace(tmp, path)
+    except subprocess.SubprocessError as error:
+        raise OSError(f"building {SOURCE.name} failed: {error}") from error
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -97,7 +98,7 @@ def load():
         if not _intact(path, key):
             _build(cc, path, key)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
     # buffers pass as addresses: a ctypes array type made per call would be
     # cyclic garbage
@@ -119,11 +120,10 @@ def _check(code: int, bad_input: str) -> None:
 
 def mis_search(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
                out: Optional[list[int]] = None) -> Optional[int]:
-    """The number of maximal independent sets of `nbr` inside the vertex
-    mask `free` that meet `cover` (as `mis.count_covering_mis` reads it),
-    each appended to `out` if given, in `mis._search`'s order.  None when
-    the library does not load, `cover` has more than MAX_PART pairs, or
-    `free` spans more than MAX_PART bits.
+    """`mis._search(nbr, free, cover, out)` in C: the same count, and the
+    same sets appended in the same order.  None when the library does not
+    load, `cover` has more than MAX_PART pairs, or `free` spans more than
+    MAX_PART bits.
 
     The problem is moved down by the lowest bit of `free`: that keeps each
     pair's difference test and the vertex order, and so the listing."""

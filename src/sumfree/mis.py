@@ -7,14 +7,13 @@ of the others beyond its ordinary edges, so it is left out of `free`.  A
 `Graph` gives its index masks and `~loops_mask`; the census passes the
 element-space masks of `linkgraph.link_masks` as they are.
 
-Counting works per connected component of `free` (an index mask, not a
-rebuilt subgraph) and multiplies the results.  Inside a component the
-recursion is the classic candidates/excluded scheme: the number of maximal
-independent sets extending the current choice depends only on the pair
-(candidates, excluded), so results are memoised on that pair.  The
-Tomita-Tanaka-Takahashi pivot branches over a closed neighbourhood, which
-keeps the branch factor at degree + 1 on the sparse structured graphs this
-package produces.
+The recursion is the classic candidates/excluded scheme: the number of
+maximal independent sets extending the current choice depends only on the
+pair (candidates, excluded), so a plain count is memoised on that pair and
+taken per connected component of `free` (an index mask, not a rebuilt
+subgraph), the results multiplied.  The Tomita-Tanaka-Takahashi pivot
+branches over a closed neighbourhood, which keeps the branch factor at
+degree + 1 on the sparse structured graphs this package produces.
 
 The recursion also carries the chosen set, so it can count or list only
 the sets that meet a cover (see `count_covering_mis`), dropping a branch
@@ -23,10 +22,10 @@ once no set below it can.  Listing refuses past its cap (unless the
 maximal leaf of the unmemoised recursion.  `enumerate_mis` returns label tuples in
 canonical order (lexicographic on sorted vertex labels).
 
-A problem whose `free` spans at most 64 bits, with at most 64 cover pairs,
-runs on the compiled copy of this recursion, `kernel.mis_search`, when the
-kernel loads: the same counts, and the same sets in the same order.
-`_search` runs the rest, and is the reference the tests compare it with.
+`_search` and its compiled twin `kernel.mis_search` take the same
+arguments and give the same counts, and the same sets in the same order.
+Every count and listing here runs the twin when the kernel loads and the
+problem fits (64 bits of `free`, 64 pairs), and `_search` otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import (
     Graph,
@@ -73,14 +72,9 @@ def count_mis(g: Graph) -> int:
 def count_covering_mis(nbr: Sequence[int], free: int,
                        cover: Sequence[tuple[int, int]] = ()) -> int:
     """Number of maximal independent sets I of `nbr` on the vertex mask `free`
-    with I & hit or I & I >> shift for each (shift, hit) in `cover`.  A pair
-    can join components, so only a plain count multiplies theirs."""
+    with I & hit or I & I >> shift for each (shift, hit) in `cover`."""
     check_vertex_limit(free.bit_count())
-    from . import kernel
-    count = kernel.mis_search(nbr, free, cover)
-    if count is None:
-        count = _search(nbr, [free] if cover else component_masks(nbr, free), cover)
-    return count
+    return _mis(nbr, free, cover, None)
 
 
 def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
@@ -92,11 +86,17 @@ def mis_masks(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = 
     # Moon-Moser: a simple graph on n vertices has at most 3^{n/3} of them
     if 3 ** free.bit_count() > cap**3 and count_covering_mis(nbr, free, cover) > cap:
         raise EnumerationLimitError(f"more than {cap} maximal independent sets")
-    from . import kernel
     sets: list[int] = []
-    if kernel.mis_search(nbr, free, cover, out=sets) is None:
-        _search(nbr, [free], cover, out=sets)
+    _mis(nbr, free, cover, sets)
     return sets
+
+
+def _mis(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]],
+         out: Optional[list[int]]) -> int:
+    """`kernel.mis_search`, or `_search` where the kernel does not load or fit."""
+    from . import kernel
+    count = kernel.mis_search(nbr, free, cover, out)
+    return _search(nbr, free, cover, out) if count is None else count
 
 
 def enumerate_mis(g: Graph, cap: int = 1_000_000) -> list[tuple[int, ...]]:
@@ -128,17 +128,17 @@ def _independent(c: int, nbr: Sequence[int], memo: dict[int, int]) -> int:
     return hit
 
 
-def _search(nbr: Sequence[int], roots: Iterable[int], cover: Sequence[tuple[int, int]] = (),
+def _search(nbr: Sequence[int], free: int, cover: Sequence[tuple[int, int]] = (),
             out: Optional[list[int]] = None) -> int:
-    """The product of `rec(root, 0, 0)` over the vertex masks in `roots`, with
-    `rec(cand, excl, chosen)` the number of maximal independent sets that
-    add vertices of `cand` to `chosen`, dominate `excl` and meet `cover`,
-    each appended to `out` if given.  They lie in reach = chosen | cand, so
-    a branch whose reach fails a pair counts 0 (at a leaf, reach is the
-    set).  A plain count depends on (cand, excl) only and is memoised on
-    it.  The branches are the candidates in the closed neighbourhood of the
-    pivot, the vertex of cand | excl with the fewest neighbours in cand (the
-    lowest on ties, for a reproducible order)."""
+    """The number of maximal independent sets of `nbr` inside `free` that
+    meet `cover`, each appended to `out` if given: rec(free, 0, 0), where
+    rec(cand, excl, chosen) counts those that add vertices of cand to
+    chosen and dominate excl.  They lie in reach = chosen | cand, so a
+    branch whose reach fails a pair counts 0 (at a leaf, reach is the set).
+    A plain count (no pair, no listing) depends on (cand, excl) only: it is
+    memoised on that pair and multiplied over the components of `free`.
+    The branches are the candidates in N[pivot], the vertex of cand | excl
+    with the fewest neighbours in cand (the lowest on ties: one order)."""
     memo = None if cover or out is not None else {}
 
     def rec(cand: int, excl: int, chosen: int) -> int:
@@ -179,6 +179,7 @@ def _search(nbr: Sequence[int], roots: Iterable[int], cover: Sequence[tuple[int,
             memo[key] = total
         return total
 
+    roots = [free] if memo is None else component_masks(nbr, free)
     total = math.prod(rec(root, 0, 0) for root in roots)
     # rec reaches itself through its closure cell: emptying the cell frees it
     # and its memo on return, not at the next cyclic GC

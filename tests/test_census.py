@@ -197,17 +197,26 @@ def test_prune_cuts_only_subtrees_without_maximal_sets():
         assert len(root) == len(maximal)
 
 
-def test_seed_counts_match_brute_force():
+def test_seed_counts_match_brute_force(monkeypatch):
     # each seed's share: the sum-free M of [n] with M ∩ [n/2] = S, and how
-    # many of them are maximal
-    for n in range(1, 15):
-        lower = (1 << n // 2) - 1
-        maximal = set(_brute_maximal(n))
-        sets = [m for m in _submasks((1 << n) - 1) if mask_is_sum_free(m)]
-        for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
-            share = [m for m in sets if m & lower == seed]
-            want = (len(share), sum(m in maximal for m in share))
-            assert census._seed_counts(n, [seed]) == want, (n, seed)
+    # many of them are maximal, by the definitions; the shares sum to the
+    # oracle's totals.  _seed_counts is the kernel's reference, so it runs
+    # with every way into the compiled code raising
+    def compiled(*args, **kwargs):
+        raise AssertionError("the compiled kernel was called")
+
+    monkeypatch.setattr(kernel, "load", compiled)
+    monkeypatch.setattr(kernel, "mis_search", compiled)
+    for n in range(1, 21):
+        half = n // 2
+        for seed in sum_free_subsets_of(range(1, half + 1)):
+            share = [m for m in (seed | i << half for i in range(1 << n - half))
+                     if mask_is_sum_free(m)]
+            maximal = sum(all(m >> x & 1 or not mask_is_sum_free(m | 1 << x) for x in range(n))
+                          for m in share)
+            assert census._seed_counts(n, [seed]) == (len(share), maximal), (n, seed)
+    seeds = sum_free_subsets_of(range(1, 13))
+    assert census._seed_counts(24, seeds) == oracle_counts(24) == (45417, 1043)
 
 
 def test_seed_f_max_matches_the_walk_from_each_seed():
@@ -427,14 +436,6 @@ def _require_kernel():
         pytest.skip("the compiled kernel does not load here")
 
 
-def _python_seed_counts(n, seeds):
-    # with the kernel patched out, so that the MIS counts come from
-    # mis._search and not from the compiled search under test
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "load", lambda: None)
-        return census._seed_counts(n, seeds)
-
-
 def test_kernel_compiles_without_warnings():
     cc = kernel._compiler()
     if shutil.which(cc[0]) is None:
@@ -457,7 +458,7 @@ def test_kernel_matches_seed_counts_seed_by_seed():
     for n in range(1, 27):
         seeds = sum_free_subsets_of(range(1, n // 2 + 1))
         compiled = [kernel.seed_counts(n, [seed]) for seed in seeds]
-        assert compiled == [_python_seed_counts(n, [seed]) for seed in seeds], n
+        assert compiled == [census._seed_counts(n, [seed]) for seed in seeds], n
 
 
 @st.composite
@@ -477,7 +478,7 @@ def _drawn_seeds(draw):
 def test_kernel_matches_seed_counts_on_drawn_seeds(case):
     _require_kernel()
     n, seed = case
-    assert kernel.seed_counts(n, [seed]) == _python_seed_counts(n, [seed])
+    assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed])
 
 
 def test_branch_counts_with_and_without_the_kernel(monkeypatch):
@@ -556,7 +557,19 @@ def test_truncated_or_foreign_library_is_rebuilt(build_dir, damage):
     assert kernel.load() is not None
     assert path.read_bytes()[-64:] == built[-64:]  # the digest of the compiled bytes
     seeds = sum_free_subsets_of(range(1, 13))
-    assert kernel.seed_counts(24, seeds) == _python_seed_counts(24, seeds)
+    assert kernel.seed_counts(24, seeds) == census._seed_counts(24, seeds)
+
+
+def test_loading_a_built_kernel_imports_no_subprocess():
+    # only a build runs the compiler: a process that finds the library whole
+    # loads it without importing subprocess
+    _require_kernel()
+    src = str(Path(census.__file__).resolve().parent.parent)
+    code = ("import sys; from sumfree import kernel; assert kernel.load() is not None; "
+            "print('subprocess' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_concurrent_builders_each_finish_one_build(tmp_path):
@@ -678,7 +691,6 @@ def test_single_even_census_matches_the_walk():
 def test_one_blocked_mask_per_seed(monkeypatch):
     # a seed's blocked mask gives both its open elements and its link
     # graph's loops, so it is computed once per seed on the Python route
-    monkeypatch.setattr(kernel, "load", lambda: None)
     calls = []
 
     def counting(mask):
@@ -688,14 +700,14 @@ def test_one_blocked_mask_per_seed(monkeypatch):
     for module in (census, linkgraph):
         monkeypatch.setattr(module, "mask_blocked", counting)
     n = 24
-    seeds = len(sum_free_subsets_of(range(1, n // 2 + 1)))
-    assert seeds == 369
-    branch_counts(n)
-    assert len(calls) == seeds
+    seeds = sum_free_subsets_of(range(1, n // 2 + 1))
+    assert len(seeds) == 369
+    census._seed_counts(n, seeds)
+    assert len(calls) == len(seeds)
     calls.clear()
     two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
                        IntSubset.of(n, range(n // 2 + 1, n + 1)), n)
-    assert len(calls) == seeds
+    assert len(calls) == len(seeds)
 
 
 def test_even_link_sums():

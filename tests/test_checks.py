@@ -32,7 +32,7 @@ from sumfree.group import (
     enumerate_sum_free_group,
     max_sum_free,
 )
-from sumfree.intset import IntSubset
+from sumfree.intset import IntSubset, iter_mask, mask_can_add
 
 
 def test_registry_names():
@@ -67,6 +67,21 @@ def test_random_sum_free_draws_are_pinned():
     assert [_random_sum_free(r, n) for n in (5, 9, 13)] == [
         [1, 3, 5], [2, 5, 6, 9], [2, 6, 9, 10, 13]
     ]
+
+
+def test_random_sum_free_draws_as_mask_can_add():
+    # the blocked mask kept beside the set gives the sets, and leaves the
+    # generator in the state, of a `mask_can_add` test on every draw
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in (2, 7, 13, 40):
+            mask = 0
+            for _ in range(60):
+                x = ref.randint(1, n)
+                if mask_can_add(mask, x):
+                    mask |= 1 << x - 1
+            assert _random_sum_free(rng, n) == list(iter_mask(mask)), (seed, n)
+        assert rng.random() == ref.random(), seed
 
 
 def test_two_step_mis_small():

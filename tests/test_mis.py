@@ -15,7 +15,6 @@ from sumfree.graph import (
     Graph,
     _bits,
     are_isomorphic,
-    component_masks,
     cycle,
     disjoint_p3_packing,
     disjoint_union,
@@ -244,27 +243,25 @@ def test_kernel_search_matches_the_python_search(problem):
     # rule and the branch order are the same
     _require_kernel()
     nbr, free, cover = problem
-    assert kernel.mis_search(nbr, free) == mis._search(nbr, component_masks(nbr, free))
-    assert kernel.mis_search(nbr, free, cover) == mis._search(nbr, [free], cover)
+    assert kernel.mis_search(nbr, free) == mis._search(nbr, free)
+    assert kernel.mis_search(nbr, free, cover) == mis._search(nbr, free, cover)
     compiled, python = [], []
-    kernel.mis_search(nbr, free, cover, out=compiled)
-    mis._search(nbr, [free], cover, out=python)
+    assert kernel.mis_search(nbr, free, cover, compiled) == mis._search(nbr, free, cover, python)
     assert compiled == python
 
 
 @pytest.fixture()
 def python_searches(monkeypatch):
-    # the roots of every mis._search call from here on
-    roots = []
+    # the arguments of every mis._search call from here on
+    calls = []
 
-    def recording(nbr, rts, *args, **kwargs):
-        rts = list(rts)
-        roots.append(rts)
-        return search(nbr, rts, *args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return search(*args)
 
     search = mis._search
     monkeypatch.setattr(mis, "_search", recording)
-    return roots
+    return calls
 
 
 def test_kernel_falls_back_to_the_python_search(monkeypatch, python_searches):
