@@ -5,10 +5,11 @@ The ratio sequences stabilise per residue class mod 4; their limits exist
 but are not reproducible at desk scale, so this script only reports the
 finite values, cross-checking the branch route (the two-step count of f,
 and for f_max the maximal independent sets of each seed's link graph that
-block every lower element the seed leaves open) against the oracle for
-every n <= ORACLE_MAX_N.  It exits 1, naming the row, if the routes
-disagree or if some f_max(n) falls below the Cameron-Erdos lower bound
-2^{floor(n/4)}.
+block every lower element the seed leaves open) against the oracle, a
+counting depth-first walk of every sum-free set, for every n <=
+ORACLE_MAX_N.  Both routes run on --workers processes.  It exits 1,
+naming the row, if the routes disagree or if some f_max(n) falls below the
+Cameron-Erdos lower bound 2^{floor(n/4)}.
 
 Usage: python scripts/fmax_ratio_table.py [--n-max 28] [--workers 4] [--csv]
 """
@@ -40,7 +41,7 @@ def main() -> int:
             print(f"n = {n}: f = {f}, f_max = {fmax} is below the Cameron-Erdos "
                   f"bound 2^{n // 4}", file=sys.stderr)
             return 1
-        if n <= ORACLE_MAX_N and (f, fmax) != (want := oracle_counts(n)):
+        if n <= ORACLE_MAX_N and (f, fmax) != (want := oracle_counts(n, args.workers)):
             print(f"n = {n}: branch route gives {(f, fmax)}, oracle {want}",
                   file=sys.stderr)
             return 1

@@ -2,22 +2,25 @@
 
 Two independent routes are provided and cross-checked:
 
-* oracle: the array of the sum-free masks of [n], and only those, in
-  numpy, which only this route imports.  Sum-freeness satisfies a one-step
-  recurrence on the least x of a mask m (m is sum-free iff m - x is, x + x
-  is not in m, and no member plus x lands in m), so one filter and one
-  concatenation per x, x = n down to 1, grow the array.  Beside each mask
-  the same step carries the elements that can join it, so the maximal
-  masks are those with none, and nothing is looked up or sorted.
-* branch: one pass over the sum-free seeds S = M ∩ [n/2], which scales past
-  the oracle's n = 44.  A seed's share of f counts the independent sets of
-  its link graph on the upper half, its share of f_max (in one pruned
-  search, none listed) the maximal ones that also block every lower element
-  S leaves open.  Chunks of seeds are the tasks of a process pool.  The
-  compiled kernel (`kernel.seed_counts`) counts the chunks when it loads
-  (5 ms against 200 ms at n = 32), and its Python twin `_seed_counts`,
-  which runs no compiled code and is the kernel's reference in the tests,
-  counts them otherwise.
+* oracle: a depth-first walk of every sum-free subset p of [n] by its least
+  element lo, counting each and keeping none.  An x < lo can join p iff it
+  is neither a difference of p nor half of a member, so each node carries
+  those beside the members above lo that can join p; the maximal sets are
+  the nodes with neither.  The kernel (`kernel.dfs_counts`) walks it when
+  it loads, its Python twin `_dfs_counts` otherwise, on stripes of
+  subtrees in a process pool.  It shares no code with the branch route:
+  not `_maximal_walk`, `sum_free_subsets_of`, `mask_blocked`, `link_masks`
+  or the MIS recursion.
+* branch: one pass over the sum-free seeds S = M ∩ [n/2], which reaches
+  further than the oracle (`cli.ENUMERATE_MAX_N` against `ORACLE_MAX_N`).
+  A seed's share of f counts the independent sets of its link graph on the
+  upper half, its share of f_max (in one pruned search, none listed) the
+  maximal ones that also block every lower element S leaves open.  Chunks
+  of seeds are the tasks of a process pool.  The compiled kernel
+  (`kernel.seed_counts`) counts the chunks when it loads (5 ms against 200
+  ms at n = 32), and its Python twin `_seed_counts`, which runs no
+  compiled code and is the kernel's reference in the tests, counts them
+  otherwise.
 
 One per-seed step, `_seed_graph` (a seed's link graph on a sum-free part
 and the cover of the elements it leaves open), serves the branch counts, the
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .intset import (
     GroundSet,
@@ -52,64 +55,75 @@ from .intset import (
 from .linkgraph import link_masks, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, _search, count_independent, count_mis, mis_masks
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# f(44) = 55560183 masks: oracle_counts(44) takes 9.3 s and a 1425 MB peak
-# RSS (fresh process, getrusage) on a 2-core Intel Xeon, Python 3.11.7, numpy
-# 2.4.6; 38, 40, 42 took 1.0, 2.3, 4.3 s and 229, 419, 791 MB.  Both about
-# double per +2, so 46 (not run) would exceed a 2 GB peak budget
-ORACLE_MAX_N = 44
+# oracle_counts(n, 2) on a 2-core Intel Xeon, gcc 12.2, Python 3.11.7: 74 s
+# at n = 60, 304 s at 64 and 480 s at 65 (peak RSS 22 MB, 15 MB per worker),
+# about 1.5x per +1, so 66 extrapolates past a 600 s budget.  Without a
+# compiler the Python twin walks 1.9e6 sets/s on 2 workers (1.9 s at 36):
+# about 10 h at 65
+ORACLE_MAX_N = 65
+# the pool's tasks are the subtrees where lo first drops to n - 16 or below:
+# for n > 30 every subset of [n - 15, n] is sum-free, so 2^16 nodes lie above
+_ORACLE_CUT = 16
 
 
 # ---------------------------------------------------------------------------
-# oracle route: the sum-free masks only
+# oracle route: a counting DFS over the sum-free masks
 # ---------------------------------------------------------------------------
 
 
-def _oracle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sum-free masks of [n] (element x at bit x - 1) as an int64 array
-    in growth order, the empty mask 0 first, and beside each mask m the
-    int64 mask of the elements e outside m that leave m | {e} sum-free."""
-    import numpy as np
+def _dfs_nodes(n: int, cut: int, stripe: int, stripes: int):
+    """Yields (p, joinable) for each sum-free mask p of [n] (element e at bit
+    e - 1) that one stripe counts, in kernel.c's walk order; joinable is the
+    mask of the e outside p that leave p | {e} sum-free."""
+    if not (1 <= n <= 128 and 0 <= cut <= n and 0 <= stripe < stripes):
+        raise ValueError("need 1 <= n <= 128, 0 <= cut <= n and 0 <= stripe < stripes")
+    low, task = (1 << cut) - 1, -1
+    stack = [(0, n + 1, 0, 0)]  # (p, lo, blk, ext) as in kernel.c's walk
+    while stack:
+        p, lo, blk, ext = stack.pop()
+        if lo <= cut and p & low == 1 << lo - 1:
+            task += 1
+            if task % stripes != stripe:
+                continue
+        kids = (1 << lo - 1) - 1 & ~blk
+        if lo <= cut or not stripe:
+            yield p, kids | ext
+        # the highest kid comes off first; x takes ext plus the kids above x
+        rest = kids
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            x = b.bit_length()
+            stack.append((p | b, x, blk | p >> x | (0 if x % 2 else 1 << x // 2 - 1),
+                          (ext | kids >> x << x) & ~(p << x | p >> x | 1 << 2 * x - 1)))
+
+
+def _dfs_counts(n: int, cut: int, stripe: int, stripes: int) -> tuple[int, int]:
+    """(f, f_max) over one stripe, as `kernel.dfs_counts` counts them: the
+    nodes, and those with no joinable element."""
+    f = f_max = 0
+    for _, joinable in _dfs_nodes(n, cut, stripe, stripes):
+        f += 1
+        f_max += not joinable
+    return f, f_max
+
+
+def oracle_counts(n: int, workers: int = 1) -> tuple[int, int]:
+    """(f(n), f_max(n)) by the counting DFS, one stripe per worker.  Maximal
+    is the definition: no single added element leaves the set sum-free."""
     if not 1 <= n <= ORACLE_MAX_N:
-        raise ValueError(f"oracle sweep supports 1 <= n <= {ORACLE_MAX_N}")
-    full = (1 << n) - 1
-    table = np.zeros(1, dtype=np.int64)
-    ext = np.zeros(1, dtype=np.int64)
-    for x in range(n, 0, -1):
-        # table: the sum-free masks with every element above x, ext their
-        # joinable elements above x; a mask p takes x iff no member y has
-        # y + x in p and x + x is not in p, and then p | {x} can take an
-        # e > x iff p can, e != x + x and neither e - x nor e + x is in p
-        bit, twice = 1 << (x - 1), (1 << (2 * x - 1)) & full
-        ok = (table & (table >> x | twice)) == 0
-        rest = table[ok]
-        grown = ext[ok] & ~(rest << x | rest >> x | twice) & full
-        np.bitwise_or(ext, bit, out=ext, where=ok)
-        rest |= bit
-        table = np.concatenate((table, rest))
-        ext = np.concatenate((ext, grown))
-    return table, ext
+        raise ValueError(f"the oracle takes 1 <= n <= {ORACLE_MAX_N}")
+    from . import kernel
+    stripes = max(workers, 1)
+    task = partial(kernel.dfs_counts if kernel.load() else _dfs_counts,
+                   n, max(n - _ORACLE_CUT, 0), stripes=stripes)
+    return _pooled_counts(task, range(stripes), workers)
 
 
-def sum_free_mask_table(n: int) -> np.ndarray:
-    """The sum-free masks of [n] (element x at bit x - 1), as a sorted int64
-    array; the empty mask 0 is the first entry.  The oracle's own table,
-    sorted here only, for the tests and the benchmark's probe."""
-    table = _oracle_table(n)[0]
-    table.sort()
-    return table
-
-
-def oracle_counts(n: int) -> tuple[int, int]:
-    """(f(n), f_max(n)): the number of sum-free masks and of those with no
-    joinable element, which is maximality by the definition (no single
-    added element leaves the set sum-free).  The joinable elements come
-    from the same least-element recurrence that grows the table, so the
-    route shares no code with the branch walk or the link graphs."""
-    table, ext = _oracle_table(n)
-    return int(table.size), int((ext == 0).sum())
+def sum_free_mask_table(n: int) -> list[int]:
+    """The sum-free masks of [n] (element x at bit x - 1), sorted, the empty
+    mask 0 first: the DFS's nodes, for the tests and the benchmark's probe."""
+    return sorted(p for p, _ in _dfs_nodes(n, 0, 0, 1))
 
 
 def f_oracle(n: int) -> int:
@@ -118,8 +132,20 @@ def f_oracle(n: int) -> int:
 
 
 def f_max_oracle(n: int) -> int:
-    """Number of maximal sum-free subsets of [n], by the oracle table."""
+    """Number of maximal sum-free subsets of [n], by the counting DFS."""
     return oracle_counts(n)[1]
+
+
+def _pooled_counts(task, chunks, workers: int) -> tuple[int, int]:
+    """(f, f_max) summed over `task(chunk)` for each chunk: in this process,
+    or in a pool of `workers` processes."""
+    if workers <= 1:
+        counts = list(map(task, chunks))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(task, chunks))
+    return sum(f for f, _ in counts), sum(f_max for _, f_max in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +261,7 @@ def branch_counts(n: int, workers: int = 1) -> tuple[int, int]:
     k = 1 if workers <= 1 else workers * _CHUNKS_PER_WORKER
     chunks = [seeds[i::k] for i in range(k)]
     task = partial(kernel.seed_counts if kernel.load() else _seed_counts, n)
-    if workers <= 1:
-        counts = list(map(task, chunks))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(task, chunks))
-    return sum(f for f, _ in counts), sum(f_max for _, f_max in counts)
+    return _pooled_counts(task, chunks, workers)
 
 
 def f_branch(n: int, workers: int = 1) -> int:

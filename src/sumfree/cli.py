@@ -87,8 +87,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="f(n) and f_max(n)", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help=f"build the array of all sum-free subsets of [n], each with "
-                        f"the elements that can join it (n <= {census.ORACLE_MAX_N})")
+                   help=f"count by a depth-first walk of every sum-free subset of [n], "
+                        f"on --workers stripes (n <= {census.ORACLE_MAX_N})")
 
     p = sub.add_parser("mis", help="count maximal independent sets", parents=[common])
     src = p.add_mutually_exclusive_group(required=True)
@@ -158,8 +158,9 @@ def _load_kernel() -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= ENUMERATE_MAX_N:
-        raise ValueError(f"n must lie in [1, {ENUMERATE_MAX_N}]")
+    limit = census.ORACLE_MAX_N if args.oracle else ENUMERATE_MAX_N
+    if not 1 <= n <= limit:
+        raise ValueError(f"n must lie in [1, {limit}]")
     method = "oracle" if args.oracle else "branch"
     params = {"n": n, "method": method}
     payload = (
@@ -169,13 +170,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if not args.no_cache else None
     )
     if payload is None:
-        if args.oracle:
-            import numpy  # noqa: F401  so elapsed_ms leaves out a first import
-        else:
-            _load_kernel()
+        _load_kernel()
         started = time.perf_counter()
         if args.oracle:
-            f, fmax = census.oracle_counts(n)
+            f, fmax = census.oracle_counts(n, workers=args.workers)
         else:
             f, fmax = census.branch_counts(n, workers=args.workers)
         elapsed = (time.perf_counter() - started) * 1000.0

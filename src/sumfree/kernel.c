@@ -1,5 +1,5 @@
-/* The compiled MIS recursion and the branch route's per-seed counts (see
-   kernel.py).
+/* The compiled MIS recursion, the branch route's per-seed counts and the
+   oracle route's counting DFS (see kernel.py).
 
    `search` is mis._search's candidates/excluded recursion with its pivot
    rule: it counts the maximal independent sets that meet every cover pair,
@@ -26,7 +26,11 @@
      mis_count.
 
    The memos are open-addressing tables: sumfree_mis makes one per call,
-   sumfree_seed_counts empties its two per seed by a new stamp. */
+   sumfree_seed_counts empties its two per seed by a new stamp.
+
+   The third entry point, sumfree_dfs_counts, shares no function with
+   search, independent or the memos: it walks every sum-free subset of [n]
+   by its least element and counts each one it meets (`walk`). */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -304,4 +308,66 @@ int sumfree_mis(const u64 *nbr, int verts, u64 free_, const int *shifts,
 void sumfree_release(u64 *sets)
 {
     free(sets);
+}
+
+/* The counting DFS.  A node is a sum-free p of [n] (element e at bit e - 1)
+   with least member lo; it carries blk, the differences p - p and the
+   halves of p's even members, and ext, the elements above lo that can
+   join p.  An x < lo can join p iff x is not in blk, so p's kids are the
+   elements below lo outside blk.  The child p | {x} has blk | (p - x) |
+   {x/2}, and its ext is acc less (p + x), (p - x) and 2x, where acc is
+   ext plus the kids above x.  A node with no kid and ext = 0 is maximal.
+
+   The nodes where lo first drops to cut or below are the tasks, met in the
+   walk's order (kids from the highest down); a stripe walks the tasks k
+   with k mod stripes = stripe, and stripe 0 alone counts the nodes above
+   the cut.  A count grows by one per node, so it cannot wrap in any
+   feasible run. */
+struct walk { int cut, stripe, stripes; u128 low; u64 task, f, f_max; };
+
+/* The element of m's highest member. */
+static int top(u128 m)
+{
+    u64 hi = (u64)(m >> 64);
+    return hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((u64)m);
+}
+
+/* Counts the children of p and their subtrees.  Shifts by x run as x - 1
+   and 1, so x = 128 stays defined. */
+static void walk(struct walk *w, u128 p, u128 blk, u128 ext)
+{
+    u128 kids = ((p & -p) - 1) & ~blk;
+    for (u128 acc = ext; kids; ) {
+        int x = top(kids), below = x <= w->cut;
+        u128 b = (u128)1 << (x - 1), down = p >> (x - 1) >> 1;
+        u128 kid_blk = blk | down | (x % 2 ? 0 : (u128)1 << (x / 2 - 1));
+        u128 kid_ext = acc & ~(p << (x - 1) << 1 | down | b << (x - 1) << 1);
+        kids ^= b;
+        acc |= b;
+        if (below && !(p & w->low) && w->task++ % (u64)w->stripes != (u64)w->stripe)
+            continue;
+        u128 kid_kids = (b - 1) & ~kid_blk;
+        if (below || !w->stripe) {
+            w->f++;
+            w->f_max += !(kid_kids | kid_ext);
+        }
+        if (kid_kids)
+            walk(w, p | b, kid_blk, kid_ext);
+    }
+}
+
+/* (f, f_max) into out over one stripe of the sum-free subsets of [n]:
+   1 <= n <= 128, 0 <= cut <= n and 0 <= stripe < stripes.  Returns a
+   KERNEL_* code; out is valid only on KERNEL_OK. */
+int sumfree_dfs_counts(int n, int cut, int stripe, int stripes, u64 out[2])
+{
+    if (n < 1 || n > 128 || cut < 0 || cut > n || stripe < 0 || stripe >= stripes)
+        return KERNEL_BAD_INPUT;
+    struct walk w = { cut, stripe, stripes, cut ? ((u128)2 << (cut - 1)) - 1 : 0,
+                       0, !stripe, 0 };  /* stripe 0 counts the empty set */
+    /* the root blocks the elements past n, so no node takes one */
+    walk(&w, 0, n == 128 ? 0 : ~(u128)0 << n, 0);
+    out[0] = w.f;
+    out[1] = w.f_max;
+    return KERNEL_OK;
 }

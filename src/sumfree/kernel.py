@@ -1,5 +1,5 @@
-"""Compiled C (`kernel.c`): the MIS recursion and the branch route's
-per-seed counts.
+"""Compiled C (`kernel.c`): the MIS recursion, the branch route's per-seed
+counts and the oracle route's counting DFS.
 
 Each entry point has one Python twin that takes the same arguments and is
 its reference in the tests.  `mis_search(nbr, free, cover, out)` is
@@ -7,7 +7,9 @@ its reference in the tests.  `mis_search(nbr, free, cover, out)` is
 and pairs; `mis._mis` runs it, or `_search` when it returns None.
 `seed_counts(n, seeds)` is `census._seed_counts`, each seed's problem built
 in C from the definitions; `census.branch_counts` runs it when the kernel
-loads, and `_seed_counts` otherwise.
+loads, and `_seed_counts` otherwise.  `dfs_counts(n, cut, stripe, stripes)`
+is `census._dfs_counts`, for `census.oracle_counts`; it shares no C function
+with the other two, only this loader.
 
 `load` compiles the source on first use with sysconfig's CC into
 `~/.cache/sumfree-kernel/`, a build directory that persists across
@@ -105,7 +107,9 @@ def load():
     addr, c_int = ctypes.c_void_p, ctypes.c_int
     lib.sumfree_seed_counts.argtypes = (c_int, addr, ctypes.c_size_t, addr)
     lib.sumfree_mis.argtypes = (addr, c_int, ctypes.c_uint64, addr, addr, c_int, c_int, addr)
+    lib.sumfree_dfs_counts.argtypes = (c_int, c_int, c_int, c_int, addr)
     lib.sumfree_seed_counts.restype = lib.sumfree_mis.restype = c_int
+    lib.sumfree_dfs_counts.restype = c_int
     lib.sumfree_release.argtypes = (addr,)
     lib.sumfree_release.restype = None
     return lib
@@ -164,4 +168,16 @@ def seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
     batch, out = array("Q", seeds), array("Q", (0, 0))
     _check(lib.sumfree_seed_counts(n, batch.buffer_info()[0], len(batch), out.buffer_info()[0]),
            "seeds must be masks of [n/2], n >= 1")
+    return out[0], out[1]
+
+
+def dfs_counts(n: int, cut: int, stripe: int, stripes: int) -> tuple[int, int]:
+    """`census._dfs_counts(n, cut, stripe, stripes)` in C: (f, f_max) over
+    one stripe of the sum-free subsets of [n], ValueError on bad input."""
+    lib = load()
+    if lib is None:
+        raise RuntimeError("the compiled kernel could not be built or loaded")
+    out = array("Q", (0, 0))
+    _check(lib.sumfree_dfs_counts(n, cut, stripe, stripes, out.buffer_info()[0]),
+           "need 1 <= n <= 128, 0 <= cut <= n and 0 <= stripe < stripes")
     return out[0], out[1]

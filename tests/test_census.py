@@ -1,4 +1,4 @@
-"""Counts of sum-free and maximal sum-free subsets of [n]: the sum-free-mask
+"""Counts of sum-free and maximal sum-free subsets of [n]: the counting-DFS
 oracle, the branch route, and the censuses built on link graphs."""
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree import census, kernel, linkgraph
+from sumfree import census, cli, kernel, linkgraph
 from sumfree.census import (
+    ORACLE_MAX_N,
     branch_counts,
     dprime_sum,
     enumerate_maximal_sum_free,
@@ -59,20 +60,18 @@ def test_oracle_frozen_values():
 def test_oracle_table_matches_definition():
     for n in range(1, 15):
         table = sum_free_mask_table(n)
-        assert table.dtype == "int64", n
-        assert table.tolist() == [m for m in range(1 << n) if mask_is_sum_free(m)], n
+        assert table == [m for m in range(1 << n) if mask_is_sum_free(m)], n
         # maximality by the definition, one mask at a time
         f_max = sum(
             all(m >> x & 1 or not mask_is_sum_free(m | 1 << x) for x in range(n))
-            for m in table.tolist()
+            for m in table
         )
-        assert oracle_counts(n) == (table.size, f_max)
+        assert oracle_counts(n) == (len(table), f_max)
 
 
 def test_oracle_carries_each_masks_joinable_elements():
     for n in range(1, 15):
-        table, ext = census._oracle_table(n)
-        for m, joinable in zip(table.tolist(), ext.tolist()):
+        for m, joinable in census._dfs_nodes(n, 0, 0, 1):
             want = sum(1 << x for x in range(n)
                        if not m >> x & 1 and mask_is_sum_free(m | 1 << x))
             assert joinable == want, (n, m)
@@ -80,14 +79,19 @@ def test_oracle_carries_each_masks_joinable_elements():
 
 def test_oracle_maximal_masks_are_the_walks():
     for n in range(1, 21):
-        table, ext = census._oracle_table(n)
+        maximal = [m for m, joinable in census._dfs_nodes(n, 0, 0, 1) if not joinable]
         want = {s.mask for s in enumerate_maximal_sum_free(n)}
-        assert set(table[ext == 0].tolist()) == want, n
+        assert len(maximal) == len(want) and set(maximal) == want, n
 
 
-def test_oracle_limit():
+def test_oracle_limit(capsys):
+    # refused before any work: the CLI before its cache and kernel, and
+    # oracle_counts before its pool
     with pytest.raises(ValueError):
-        f_oracle(45)
+        f_oracle(ORACLE_MAX_N + 1)
+    assert cli.run(["--no-cache", "enumerate", "--n", str(ORACLE_MAX_N + 1), "--oracle"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: n must lie in [1, {ORACLE_MAX_N}]\n")
 
 
 def test_oracle_is_a_second_route_for_the_walk_at_32():
@@ -201,10 +205,12 @@ def test_seed_counts_match_brute_force(monkeypatch):
     # each seed's share: the sum-free M of [n] with M ∩ [n/2] = S, and how
     # many of them are maximal, by the definitions; the shares sum to the
     # oracle's totals.  _seed_counts is the kernel's reference, so it runs
-    # with every way into the compiled code raising
+    # with every way into the compiled code raising (the oracle, which may
+    # run on the kernel, counts first)
     def compiled(*args, **kwargs):
         raise AssertionError("the compiled kernel was called")
 
+    oracle = oracle_counts(24)
     monkeypatch.setattr(kernel, "load", compiled)
     monkeypatch.setattr(kernel, "mis_search", compiled)
     for n in range(1, 21):
@@ -216,7 +222,7 @@ def test_seed_counts_match_brute_force(monkeypatch):
                           for m in share)
             assert census._seed_counts(n, [seed]) == (len(share), maximal), (n, seed)
     seeds = sum_free_subsets_of(range(1, 13))
-    assert census._seed_counts(24, seeds) == oracle_counts(24) == (45417, 1043)
+    assert census._seed_counts(24, seeds) == oracle == (45417, 1043)
 
 
 def test_seed_f_max_matches_the_walk_from_each_seed():
@@ -490,10 +496,10 @@ def test_branch_counts_with_and_without_the_kernel(monkeypatch):
 
 
 def test_kernel_reproduces_the_oracle_at_40_and_44():
-    # both confirmed by oracle_counts (2.3 s and 9.3 s)
+    # both kernels: the branch route's and the oracle's DFS (0.2 and 0.7 s)
     _require_kernel()
-    assert branch_counts(40) == (14158720, 62759)
-    assert branch_counts(44, workers=2) == (55560183, 164835)
+    assert branch_counts(40) == oracle_counts(40) == (14158720, 62759)
+    assert branch_counts(44, workers=2) == oracle_counts(44) == (55560183, 164835)
 
 
 def test_kernel_limits():
@@ -508,6 +514,31 @@ def test_kernel_limits():
         kernel.seed_counts(129, [])
     with pytest.raises(ValueError, match=r"masks of \[n/2\]"):
         kernel.seed_counts(10, [1 << 5])  # the element 6 lies past 10/2
+
+
+def test_dfs_kernel_matches_its_twin_stripe_by_stripe():
+    # every stripe split at the oracle's own cut, which leaves no task
+    # below n = 17, and at every cut for small n
+    _require_kernel()
+    cases = [(n, max(n - census._ORACLE_CUT, 0)) for n in range(1, 31)]
+    cases += [(n, cut) for n in range(1, 13) for cut in range(n + 1)]
+    for n, cut in cases:
+        totals = set()
+        for stripes in (1, 2, 3):
+            got = [census._dfs_counts(n, cut, i, stripes) for i in range(stripes)]
+            assert [kernel.dfs_counts(n, cut, i, stripes) for i in range(stripes)] == got
+            totals.add(tuple(map(sum, zip(*got))))
+        assert len(totals) == 1, (n, cut, totals)
+
+
+@pytest.mark.parametrize("args", [(0, 0, 0, 1), (129, 0, 0, 1), (10, 0, 2, 2),
+                                  (10, 0, -1, 2), (10, 11, 0, 1), (10, -1, 0, 1)])
+def test_dfs_refuses_bad_input(args):
+    with pytest.raises(ValueError):
+        census._dfs_counts(*args)
+    if kernel.load() is not None:
+        with pytest.raises(ValueError):
+            kernel.dfs_counts(*args)
 
 
 @pytest.fixture()

@@ -553,31 +553,39 @@ def test_start_up_loads_only_what_the_route_needs():
         "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))",
     )
     assert loaded.strip() == "[]"
-    # the routes that import them on first use still give the same counts
+    # the routes that import them on first use still give the same counts,
+    # and no route imports numpy
     for argv, counts in (
         (["enumerate", "--n", "12", "--oracle"], (369, 37)),
         (["--workers", "2", "enumerate", "--n", "16"], (1954, 118)),
     ):
-        record = json.loads(fresh_python("-m", "sumfree.cli", "--no-cache", *argv))
-        assert (record["f"], record["f_max"]) == counts
+        code = ("import json, sys; from sumfree import cli; cli.run(sys.argv[1:]); "
+                "print(json.dumps('numpy' in sys.modules))")
+        record, numpy_loaded = fresh_python("-c", code, "--no-cache", *argv).splitlines()
+        record = json.loads(record)
+        assert (record["f"], record["f_max"], json.loads(numpy_loaded)) == (*counts, False)
         if "--oracle" in argv:
-            # the n = 12 table takes about 1 ms, numpy's first import about
-            # 100 ms, and the record times only the table
+            # the n = 12 DFS takes about 10 us, and the record times only it
             assert record["elapsed_ms"] < 50
 
 
 def test_enumerate_times_the_count_not_the_kernel_build(tmp_path):
     # with an empty build directory (under HOME) the first run builds the
     # kernel, about 0.15 s, before its timer starts; n = 16 counts in 1 ms
+    # by either route
     src = str(Path(sumfree.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "sumfree.cli", "--no-cache", "enumerate", "--n", "16"],
-        env={**os.environ, "HOME": str(tmp_path), "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    record = json.loads(done.stdout)
-    assert (record["f"], record["f_max"], done.stderr) == (1954, 118, "")
-    assert record["elapsed_ms"] < 50
+    for route in ([], ["--oracle"]):
+        home = tmp_path / ("oracle" if route else "branch")
+        done = subprocess.run(
+            [sys.executable, "-m", "sumfree.cli", "--no-cache", "enumerate", "--n", "16", *route],
+            env={**os.environ, "HOME": str(home), "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        record = json.loads(done.stdout)
+        assert (record["f"], record["f_max"], done.stderr) == (1954, 118, ""), route
+        assert record["elapsed_ms"] < 50, route
+        if shutil.which(kernel._compiler()[0]):
+            assert any((home / ".cache" / "sumfree-kernel").iterdir()), route
 
 
 def test_verify_times_the_checks_not_the_kernel_build(tmp_path):
