@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .census import (
     EVEN_LINK_LIMITS,
+    _dfs_nodes,
     dprime_sum,
     enumerate_maximal_sum_free,
     even_link_term,
@@ -131,21 +132,22 @@ def check_link_triangle_free(trials: int = 400, n_max: int = 40, seed: int = 0) 
 def check_two_step_mis(n_max: int = 20) -> tuple:
     """The two-step route, each sum-free S in [n/2] joined with every maximal
     independent set of its link graph on the upper half, lists exactly the
-    maximal sum-free sets of [n] that the pruned walk lists.  A walk set M
-    missing from the join means M's upper part is not a MIS of the link
-    graph of M's lower part, or the join's open-element cover cut it."""
+    maximal sum-free sets of [n] that the oracle's DFS finds, a walk that
+    shares no code with the join.  A DFS set M missing from the join means
+    M's upper part is not a MIS of the link graph of M's lower part, or the
+    join's open-element cover cut it."""
     failures: list[str] = []
     instances = 0
     for n in range(2, n_max + 1):
-        walked = enumerate_maximal_sum_free(n)
-        joined = two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
-                                    IntSubset.of(n, range(n // 2 + 1, n + 1)), n)
-        instances += len(walked)
-        in_walk, in_join = set(walked), set(joined)
-        failures += [f"n={n}, M={m.members}: walked but missing from the join"
-                     for m in walked if m not in in_join]
-        failures += [f"n={n}, M={m.members}: joined but not listed by the walk"
-                     for m in joined if m not in in_walk]
+        found = [m for m, joinable in _dfs_nodes(n, 0, 0, 1) if not joinable]
+        joined = [m.mask for m in two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
+                                                     IntSubset.of(n, range(n // 2 + 1, n + 1)), n)]
+        instances += len(found)
+        in_dfs, in_join = set(found), set(joined)
+        failures += [f"n={n}, M={tuple(iter_mask(m))}: found by the oracle's DFS but"
+                     " missing from the join" for m in found if m not in in_join]
+        failures += [f"n={n}, M={tuple(iter_mask(m))}: joined but not found by the oracle's DFS"
+                     for m in joined if m not in in_dfs]
     return instances, failures
 
 

@@ -2,8 +2,8 @@
 
 Elements are indices 0..N-1, index 0 the identity, and the walk reads the
 group's `table` and `negation`.  Subsets are index masks: element i at bit
-i.  It is the group counterpart of `census._maximal_walk`, unpruned: every
-node is a sum-free set S, grown in increasing index order, and carries
+i.  Every node is a sum-free set S, grown in increasing index order, and
+carries
 
     blocked = {0} | (S + S) | (S - S) | {y : y + y in S}
 

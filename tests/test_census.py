@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,13 +78,6 @@ def test_oracle_carries_each_masks_joinable_elements():
             assert joinable == want, (n, m)
 
 
-def test_oracle_maximal_masks_are_the_walks():
-    for n in range(1, 21):
-        maximal = [m for m, joinable in census._dfs_nodes(n, 0, 0, 1) if not joinable]
-        want = {s.mask for s in enumerate_maximal_sum_free(n)}
-        assert len(maximal) == len(want) and set(maximal) == want, n
-
-
 def test_oracle_limit(capsys):
     # refused before any work: the CLI before its cache and kernel, and
     # oracle_counts before its pool
@@ -139,66 +133,26 @@ def _brute_maximal(n):
     )
 
 
-def _node(n, mask, low=0):
-    # the walk node of a sum-free set S whose children lie above max(S, low),
-    # by the definitions: there cand is every element not in S+S
-    sums = 0
-    for s in iter_mask(mask):
-        sums |= mask << s
-    top = max(mask.bit_length(), low)
-    rev = sum(1 << (n - s) for s in iter_mask(mask))
-    return (1 << n) - 1 & ~sums >> top << top, mask, mask_blocked(mask), rev
+def _dfs_maximal(n):
+    # the maximal sets of [n] as the oracle's DFS finds them: the nodes with
+    # no joinable element, in the DFS's order
+    return [m for m, joinable in census._dfs_nodes(n, 0, 0, 1) if not joinable]
 
 
-def _seed_node(n, seed):
-    # the walk node of a seed S in [n/2] whose children lie in (n/2, n]
-    return _node(n, seed, n // 2)
-
-
-def test_walk_state_matches_definitions_node_by_node():
-    # from every sum-free node of [n], its cand, blocked and rev built from
-    # the definitions, the walk lists exactly the maximal sets M below it (M
-    # holds S and takes its other elements from cand), so its own blocked
-    # and rev updates on the way down agree with the definitions
+def test_listing_and_branch_counts_match_definitions():
+    # the listing's content and order and the branch route's counts, against
+    # the sum-free and maximal masks of [n] found by the definitions
     nodes = 0
     for n in range(1, 15):
         universe = (1 << n) - 1
         maximal = _brute_maximal(n)
         sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
-        for node in (_node(n, m) for m in sets):
-            cand, mask = node[:2]
-            out = []
-            census._maximal_walk(n, universe, out, *node)
-            assert sorted(out) == [m for m in maximal if m & ~cand == mask], (n, mask)
         nodes += len(sets)
         assert [s.mask for s in enumerate_maximal_sum_free(n)] == sorted(
             maximal, key=lambda m: tuple(iter_mask(m))
         )
         assert branch_counts(n) == (len(sets), len(maximal))
     assert nodes == 2498
-
-
-def test_prune_cuts_only_subtrees_without_maximal_sets():
-    # the root, each seed node and every node below a seed (a sum-free M,
-    # its seed M ∩ [n/2], its children in (max(M, n/2), n]), offered to the
-    # pruned walk: it lists nothing exactly where no maximal set lies below,
-    # and otherwise the maximal sets below the node
-    for n in range(1, 15):
-        universe = (1 << n) - 1
-        maximal = _brute_maximal(n)
-        sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
-        cuts = 0
-        for node in [_node(n, 0)] + [_node(n, m, n // 2) for m in sets]:
-            cand, mask = node[:2]
-            out = []
-            census._maximal_walk(n, universe, out, *node)
-            want = [m for m in maximal if m & ~cand == mask]
-            cuts += not want
-            assert sorted(out) == want, (n, mask)
-        assert cuts or n < 3, n
-        root = []
-        census._maximal_walk(n, universe, root, *_node(n, 0))
-        assert len(root) == len(maximal)
 
 
 def test_seed_counts_match_brute_force(monkeypatch):
@@ -227,20 +181,20 @@ def test_seed_counts_match_brute_force(monkeypatch):
 
 def test_seed_f_max_matches_the_walk_from_each_seed():
     # each seed's share of f_max, from the maximal independent sets of its
-    # link graph, is the pruned walk's from the seed node, for n past the
-    # reach of the brute force
+    # link graph, is the number of maximal sets the oracle's DFS walk finds
+    # with that part in [n/2], for n past the reach of the brute force
     for n in range(1, 27):
+        shares = Counter(m & (1 << n // 2) - 1 for m in _dfs_maximal(n))
         for seed in sum_free_subsets_of(range(1, n // 2 + 1)):
-            walked = []
-            census._maximal_walk(n, (1 << n) - 1, walked, *_seed_node(n, seed))
-            assert census._seed_counts(n, [seed])[1] == len(walked), (n, seed)
+            assert census._seed_counts(n, [seed])[1] == shares.pop(seed, 0), (n, seed)
+        assert not shares, n
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 22))
 def test_routes_agree(n):
-    # the oracle, the branch route (seed count and pruned walk), the
-    # unpruned walk and the listing of maximal sets
+    # the oracle, the branch route, the listing of every sum-free set and
+    # the listing of maximal sets
     f, f_max = oracle_counts(n)
     assert branch_counts(n) == (f, f_max)
     assert len(sum_free_subsets_of(range(1, n + 1))) == f
@@ -262,19 +216,13 @@ def test_sum_free_subsets_of_non_interval(members):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
 def test_sub_universe_walks_match_brute_force(args):
-    # maximality taken inside U: no element of U outside M can join M
-    n, universe = args
+    # the sum-free subsets of U, each once and by increasing size
+    _, universe = args
     subsets = sum_free_subsets_of(iter_mask(universe))
     sizes = [m.bit_count() for m in subsets]
     want = [m for m in _submasks(universe) if mask_is_sum_free(m)]
     assert len(subsets) == len(set(subsets)) and sorted(subsets) == sorted(want)
     assert sizes == sorted(sizes)
-    out = []
-    census._maximal_walk(n, universe, out, universe, 0, 0, 0)
-    assert sorted(out) == sorted(
-        m for m in want
-        if not any(mask_is_sum_free(m | 1 << (x - 1)) for x in iter_mask(universe & ~m))
-    )
 
 
 @st.composite
@@ -638,23 +586,26 @@ def test_enumerated_sets_are_maximal():
 
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
-        enumerate_maximal_sum_free(41)
+        enumerate_maximal_sum_free(census._ENUMERATE_MAX_N + 1)
+
+
+def test_enumeration_against_the_oracle_at_44():
+    # the oracle's Python twin would take about a minute here
+    _require_kernel()
+    assert len(enumerate_maximal_sum_free(44)) == oracle_counts(44)[1] == 164835
 
 
 def test_two_step_full_reproduction():
-    for n in range(2, 19):
-        full = [s.members for s in enumerate_maximal_sum_free(n)]
-        got = two_step_enumerate(
-            IntSubset.of(n, range(1, n // 2 + 1)),
-            IntSubset.of(n, range(n // 2 + 1, n + 1)),
-            n,
-        )
-        assert [s.members for s in got] == full
+    # the listing, the two-step join on the halves, against the maximal
+    # sets the oracle's DFS finds: the same sets in member-tuple order
+    for n in range(1, 21):
+        got = [s.mask for s in enumerate_maximal_sum_free(n)]
+        assert got == sorted(_dfs_maximal(n), key=lambda m: tuple(iter_mask(m))), n
 
 
 def test_two_step_halves_against_the_oracle():
-    # the halves listing past the walk's reach above: every maximal set,
-    # each once
+    # the halves listing past the reach of the listings compared above:
+    # every maximal set, each once
     for n, f_max in ((24, 1043), (30, 5017)):
         got = two_step_enumerate(
             IntSubset.of(n, range(1, n // 2 + 1)),
@@ -708,12 +659,12 @@ def test_single_even_census_limit():
 
 
 def test_single_even_census_matches_the_walk():
-    # the census takes f'_max from the seeds {x} on the odds; the walk,
-    # filtered to the maximal sets with exactly one even member, is the
-    # independent count
+    # the census takes f'_max from the seeds {x} on the odds; the oracle's
+    # DFS walk, its maximal sets filtered to those with exactly one even
+    # member, is the independent count
     for n in range(1, 25):
-        want = sum(1 for s in enumerate_maximal_sum_free(n)
-                   if sum(1 for x in s if x % 2 == 0) == 1)
+        evens = sum(1 << x - 1 for x in range(2, n + 1, 2))
+        want = sum((m & evens).bit_count() == 1 for m in _dfs_maximal(n))
         assert single_even_census(n).f_prime_max == want, n
     assert [single_even_census(n).f_prime_max for n in (20, 24, 27, 30)] == [
         58, 144, 286, 515]

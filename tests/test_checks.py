@@ -100,8 +100,8 @@ def test_two_step_mis_reports_a_set_either_route_lacks(monkeypatch):
     monkeypatch.setattr(checks, "two_step_enumerate", broken_join)
     report = check_two_step_mis(n_max=7)
     assert report.failures == (
-        "n=6, M=(1, 3, 5): walked but missing from the join",
-        "n=6, M=(1,): joined but not listed by the walk",
+        "n=6, M=(1, 3, 5): found by the oracle's DFS but missing from the join",
+        "n=6, M=(1,): joined but not found by the oracle's DFS",
     )
 
 

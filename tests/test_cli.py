@@ -614,7 +614,7 @@ def _table_rows(out: str) -> list[list[str]]:
 
 
 def test_scripts_run():
-    # fmax_ratio_table exits 1 if the walk and the oracle disagree
+    # fmax_ratio_table exits 1 if the branch route and the oracle disagree
     out = fresh_python(str(SCRIPTS / "fmax_ratio_table.py"), "--n-max", "14")
     rows = _table_rows(out)
     assert [int(r[0]) for r in rows] == list(range(1, 15))

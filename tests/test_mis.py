@@ -302,8 +302,8 @@ def test_kernel_listing_cap(python_searches):
 
 
 def test_searches_leave_no_reference_cycle():
-    # each search's memo, and each walk's output list, is freed when the call
-    # returns, not by the cyclic GC
+    # each search's memo, and each listing's output list, is freed when the
+    # call returns, not by the cyclic GC
     g = cycle(9)
     gc.collect()
     gc.disable()
