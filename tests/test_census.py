@@ -78,6 +78,15 @@ def test_oracle_carries_each_masks_joinable_elements():
             assert joinable == want, (n, m)
 
 
+def test_oracle_maximal_masks_are_the_walks():
+    # the DFS nodes with no joinable element are the maximal sets, each
+    # found once: the same masks as the listing
+    for n in range(1, 21):
+        maximal = [m for m, joinable in census._dfs_nodes(n, 0, 0, 1) if not joinable]
+        want = {s.mask for s in enumerate_maximal_sum_free(n)}
+        assert len(maximal) == len(want) and set(maximal) == want, n
+
+
 def test_oracle_limit(capsys):
     # refused before any work: the CLI before its cache and kernel, and
     # oracle_counts before its pool
