@@ -26,11 +26,15 @@ One per-seed step, `_seed_graph` (a seed's link graph on a sum-free part
 and the cover of the elements it leaves open), serves the branch counts, the
 two-step listing (seeds in one part joined with maximal independent sets of
 their link graphs on the other) and the census of maximal sets with exactly
-one even member (the seeds {x} on the odds).  The listing of the maximal
-sets of [n] is the two-step join on the halves; the tests and the
-two-step-mis check compare it with the oracle DFS's maximal nodes.  The
-seeds are listed level by level, each set's children being the elements
-above its maximum that it leaves sum-free.
+one even member (the seeds {x} on the odds).  The listing runs a batch of
+seeds in one call of the compiled kernel (`kernel.seed_listing`, which
+builds the same problem in C) when it loads and takes the part, and its
+Python twin `_seed_listings` otherwise; only the sort and the `IntSubset`
+wrapping stay in Python.  The listing of the maximal sets of [n] is the
+two-step join on the halves; the tests and the two-step-mis check compare
+it with the oracle DFS's maximal nodes.  The seeds are listed level by
+level, each set's children being the elements above its maximum that it
+leaves sum-free.
 Also here: the single-even sandwich, the even-link sums whose 2^{n/4} ratios
 stabilise by residue class, and a census of sets with small sumset.
 """
@@ -52,7 +56,7 @@ from .intset import (
     mask_is_sum_free,
 )
 from .linkgraph import link_masks, link_pair_even, link_single_even
-from .mis import EnumerationLimitError, _search, count_independent, count_mis, mis_masks
+from .mis import EnumerationLimitError, _search, check_vertex_limit, count_independent, count_mis
 
 # oracle_counts(n, 2) on a 2-core Intel Xeon, gcc 12.2, Python 3.11.7: 74 s
 # at n = 60, 304 s at 64 and 480 s at 65 (peak RSS 22 MB, 15 MB per worker),
@@ -179,15 +183,42 @@ def _seed_graph(seed: int, part: int, n: int) -> tuple[list[int], int, list, int
     return nbr, part & ~blocked, cover, opened & ~paired
 
 
-def _seed_listing(seed: int, part: int, n: int) -> list[int]:
-    """The maximal sum-free sets S | I of [n] for the seed S and the part B
-    of `_seed_graph`: the maximal independent sets under its cover, each
-    union re-tested by the definition at the unpaired y only."""
-    nbr, free, cover, unpaired = _seed_graph(seed, part, n)
-    sets = [seed | ind for ind in mis_masks(nbr, free, cover)]
-    if unpaired:
-        sets = [m for m in sets if not unpaired & ~mask_blocked(m)]
+# the most maximal independent sets one seed may list under its cover, as
+# in `mis_masks`
+_SEED_CAP = 1_000_000
+
+
+def _seed_listings(n: int, part: int, seeds: list[int], cap: int) -> list[int]:
+    """The maximal sum-free sets S | I of [n] for each seed S in turn and
+    the part B of `_seed_graph`: the maximal independent sets under its
+    cover in `_search`'s order, each union re-tested by the definition at
+    the unpaired y only.  A seed with more than `cap` of them raises
+    EnumerationLimitError before any is listed.  It runs `_search` alone,
+    never the kernel, so it is `kernel.seed_listing`'s reference."""
+    if n < 1 or part >> n or any(s >> n or s & part for s in seeds):
+        raise ValueError("the part and the seeds must be disjoint masks of [n], n >= 1")
+    sets: list[int] = []
+    for seed in seeds:
+        nbr, free, cover, unpaired = _seed_graph(seed, part, n)
+        # Moon-Moser: k vertices carry at most 3^{k/3} maximal independent sets
+        if 3 ** free.bit_count() > cap**3:
+            check_vertex_limit(free.bit_count())
+            if _search(nbr, free, cover) > cap:
+                raise EnumerationLimitError(f"more than {cap} maximal independent sets")
+        found: list[int] = []
+        _search(nbr, free, cover, found)
+        sets += [seed | ind for ind in found
+                 if not unpaired or not unpaired & ~mask_blocked(seed | ind)]
     return sets
+
+
+def _listings(n: int, part: int, seeds: list[int]) -> list[int]:
+    """`_seed_listings` under `_SEED_CAP`, by `kernel.seed_listing` when the
+    kernel loads and takes the part."""
+    from . import kernel
+    if kernel.load() and kernel.listing_fits(n, part):
+        return kernel.seed_listing(n, part, seeds, _SEED_CAP)
+    return _seed_listings(n, part, seeds, _SEED_CAP)
 
 
 def _seed_counts(n: int, seeds: list[int]) -> tuple[int, int]:
@@ -268,21 +299,21 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
-    Each seed's sets are its `_seed_listing` on F2, exact for any two parts;
-    a union's seed is its part in F1, so no set is listed twice.
+    Each seed's sets are its listing on F2 (`_listings`), exact for any two
+    parts; a union's seed is its part in F1, so no set is listed twice.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
     if not mask_is_sum_free(f2.mask):
         raise ValueError("the extension part must be sum-free")
-    found = [m for seed in sum_free_subsets_of(f1.members)
-             for m in _seed_listing(seed, f2.mask, n)]
+    found = _listings(n, f2.mask, sum_free_subsets_of(f1.members))
+    found.sort(key=_mask_sort_key)  # in place: one list of masks, not two
     ground = GroundSet(n)
-    return [IntSubset(ground, m) for m in sorted(found, key=_mask_sort_key)]
+    return [IntSubset(ground, m) for m in found]
 
 
-# the listing holds every maximal set: n = 48 gives 424991 of them in 2.2 s
-# with the compiled kernel and 5.8 s without (peak RSS 90 MB either way) on
+# the listing holds every maximal set: n = 48 gives 424991 of them in 1.2 s
+# with the compiled kernel and 7.5 s without (peak RSS 90 MB either way) on
 # a 2-core Intel Xeon, Python 3.11.7
 _ENUMERATE_MAX_N = 48
 
@@ -310,15 +341,15 @@ class SingleEvenCensus:
     upper: int  # sum over evens of the single-even link MIS counts
 
 
-# n = 30 takes 0.03 s (515 sets) on a 2-core Intel Xeon, Python 3.11.7;
-# 40 and 50 took 0.12 and 0.41 s
+# n = 30 takes 0.02 s (515 sets) on a 2-core Intel Xeon, Python 3.11.7,
+# with the compiled kernel; 40 and 50 took 0.03 and 0.04 s
 _SINGLE_EVEN_MAX_N = 30
 
 
 def single_even_census(n: int) -> SingleEvenCensus:
     """f'_max(n) and its sandwich.  A maximal set with exactly one even
     member x is {x} joined with a set of odds, so f'_max sums, over the
-    even x, the `_seed_listing` of the seed {x} on the odds."""
+    even x, the listing of the seed {x} on the odds."""
     if n > _SINGLE_EVEN_MAX_N:
         raise EnumerationLimitError(f"n = {n} exceeds the census limit {_SINGLE_EVEN_MAX_N}")
     evens = list(range(2, n + 1, 2))
@@ -328,7 +359,7 @@ def single_even_census(n: int) -> SingleEvenCensus:
         for x2 in evens[i + 1 :]:
             pair_sum += count_mis(link_pair_even(n, x, x2))
     odds = sum(1 << x - 1 for x in range(1, n + 1, 2))
-    exact = sum(len(_seed_listing(1 << x - 1, odds, n)) for x in evens)
+    exact = len(_listings(n, odds, [1 << x - 1 for x in evens]))
     return SingleEvenCensus(n, exact, upper - 2 * pair_sum, upper)
 
 

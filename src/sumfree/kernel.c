@@ -1,36 +1,44 @@
-/* The compiled MIS recursion, the branch route's per-seed counts and the
-   oracle route's counting DFS (see kernel.py).
+/* The compiled MIS recursion, the branch route's per-seed counts, the
+   two-step listing and the oracle route's counting DFS (see kernel.py).
 
    `search` is mis._search's candidates/excluded recursion with its pivot
    rule: it counts the maximal independent sets that meet every cover pair,
    cutting a branch whose reach fails one, and with no pair and no listing
-   memoises on (cand, excl).  `mis_count` runs it on one root, or with no
-   pair and no listing takes the product over the components of free.  Two
-   entry points call it:
+   memoises on (cand, excl); with a listing it pushes the chosen set at
+   each maximal leaf.  `mis_count` runs it on one root, or with no pair and
+   no listing takes the product over the components of free.  Three entry
+   points call it:
 
    - sumfree_mis, on any graph of at most 64 vertices and 64 pairs given by
      the caller: the count, or the chosen set at each maximal leaf, listed
      in the search's order into a buffer that grows on demand;
-   - sumfree_seed_counts, which builds each seed's problem itself from the
-     definitions.  For a sum-free seed S in [h], h = n/2, the sets of [n]
-     whose part in [h] is S are S | I with I in the upper half B = (h, n],
-     in B's index space (vertex i is the element h + 1 + i):
+   - sumfree_seed_counts and sumfree_seed_listing, which build each seed's
+     problem themselves from the definitions (`seed_problem`).  For a
+     sum-free seed S and a sum-free part B disjoint from it, the sets of
+     [n] that are S joined with some I inside B are worked in B's index
+     space (vertex i is the element min B + i, B spanning at most 64 bits):
      - blocked = (S+S) | (S-S) | {s/2 : s in S even}, positive members only;
-     - the link graph on B: i ~ j when their elements differ by a member of S;
+     - the link graph on B: i ~ j when their elements differ by or sum to a
+       member of S;
      - free = B less blocked, the vertices that can join S;
-     - one cover pair (y, {y + s : s in S} | {2y}) per open y, an element of
-       [h] that S neither holds nor blocks: S | I blocks y iff I meets the
-       pair's hit set or two members of I differ by y.
-     f sums i(G), the independent sets inside free, by i(c) = i(c - v) +
-     i(c minus N[v]) for the lowest v of c, memoised on c; f_max sums
-     mis_count.
+     - one cover pair (y, {y + s, |y - s| : s in S} | {2y, y/2}) per open
+       y <= 2 min B, an element of [n] outside B that S neither holds nor
+       blocks: S | I blocks y iff I meets the pair's hit set or two members
+       of I differ by y, since no two members of B sum to y;
+     - the other open y, unpaired, where the listing re-tests each union
+       S | I by blocked's definition, on u128 masks (n <= 128).
+     The counts take B = (n/2, n], where no y is unpaired: f sums i(G), the
+     independent sets inside free, by i(c) = i(c - v) + i(c minus N[v]) for
+     the lowest v of c, memoised on c; f_max sums mis_count.  The listing
+     takes any such B and appends the maximal S | I seed by seed.
 
    The memos are open-addressing tables: sumfree_mis makes one per call,
    sumfree_seed_counts empties its two per seed by a new stamp.
 
-   The third entry point, sumfree_dfs_counts, shares no function with
-   search, independent or the memos: it walks every sum-free subset of [n]
-   by its least element and counts each one it meets (`walk`). */
+   The fourth entry point, sumfree_dfs_counts, shares no function with
+   search, independent, seed_problem or the memos: it walks every sum-free
+   subset of [n] by its least element and counts each one it meets
+   (`walk`). */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -39,13 +47,13 @@
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
 
-enum { KERNEL_OK, KERNEL_BAD_INPUT, KERNEL_OVERFLOW, KERNEL_NO_MEMORY };
+enum { KERNEL_OK, KERNEL_BAD_INPUT, KERNEL_OVERFLOW, KERNEL_NO_MEMORY, KERNEL_LIMIT };
 
 struct slot { u64 a, b, value, stamp; };
 struct memo { struct slot *slots; size_t mask, used; u64 stamp; };
 
-/* A listing's sets, grown by doubling. */
-struct listing { u64 *sets; size_t used, size; };
+/* A listing's words, grown by doubling up to cap of them. */
+struct listing { u64 *sets; size_t used, size, cap; };
 
 struct problem {
     int pairs, err;
@@ -118,20 +126,21 @@ static u64 independent(struct problem *p, u64 c)
     return total;
 }
 
-static void list_set(struct problem *p, u64 set)
+/* Appends one word; a KERNEL_* code. */
+static int push(struct listing *l, u64 word)
 {
-    struct listing *l = p->out;
+    if (l->used == l->cap)
+        return KERNEL_LIMIT;
     if (l->used == l->size) {
         size_t size = l->size ? 2 * l->size : 64;
         u64 *grown = realloc(l->sets, size * sizeof *grown);
-        if (!grown) {
-            p->err = KERNEL_NO_MEMORY;
-            return;
-        }
+        if (!grown)
+            return KERNEL_NO_MEMORY;
         l->sets = grown;
         l->size = size;
     }
-    l->sets[l->used++] = set;
+    l->sets[l->used++] = word;
+    return KERNEL_OK;
 }
 
 static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
@@ -144,7 +153,7 @@ static u64 search(struct problem *p, u64 cand, u64 excl, u64 chosen)
             return 0;
     if (!cand) {
         if (!excl && p->out)
-            list_set(p, chosen);
+            p->err = push(p->out, chosen);
         return !excl;
     }
     int memo = !p->pairs && !p->out;
@@ -199,43 +208,87 @@ static u64 mis_count(struct problem *p, u64 free_)
     return product;
 }
 
-/* (f, f_max) shares of one seed; the memos get a fresh stamp first. */
-static void seed_counts(struct problem *p, int n, u64 seed, u64 out[2])
+/* The mask of [n], 1 <= n <= 128. */
+static u128 ground(int n)
 {
-    int h = n / 2, m = n - h;
-    u64 all = m == 64 ? ~(u64)0 : bit(m) - 1;
+    return n == 128 ? ~(u128)0 : ((u128)1 << n) - 1;
+}
+
+/* The lowest set bit of a nonzero m. */
+static int low_bit(u128 m)
+{
+    u64 lo = (u64)m;
+    return lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll((u64)(m >> 64));
+}
+
+/* The positive members of (S+S) | (S-S) | {s/2 : s in S even}, element e
+   at bit e - 1, as intset.mask_blocked.  Shifts by z run as z - 1 and 1,
+   so z = 128 stays defined. */
+static u128 blocked_of(u128 s)
+{
     u128 blocked = 0;
-    for (u64 zs = seed; zs; zs &= zs - 1) {
-        int z = __builtin_ctzll(zs) + 1;
-        blocked |= (u128)seed << z | (u128)seed >> z;
+    for (u128 zs = s; zs; zs &= zs - 1) {
+        int z = low_bit(zs) + 1;
+        blocked |= s << (z - 1) << 1 | s >> (z - 1) >> 1;
         if (z % 2 == 0)
             blocked |= (u128)1 << (z / 2 - 1);
     }
-    for (int i = 0; i < m; i++) {
-        u64 near = 0;
-        for (u64 zs = seed; zs; zs &= zs - 1) {
-            int z = __builtin_ctzll(zs) + 1;
-            if (i + z < m)
-                near |= bit(i + z);
-            if (z <= i)
-                near |= bit(i - z);
-        }
-        p->nbr[i] = near;
+    return blocked;
+}
+
+/* The elements e + z, e - z and z - e for the z in S, past 0: an element's
+   link-graph neighbours, and what blocks an open e with S.  rev holds z at
+   bit 128 - z, so e - z is bit e - z - 1 of rev >> (129 - e).  Shifts by e
+   run in two steps, so e = 1 and e = 128 stay defined. */
+static u128 near_of(u128 s, u128 rev, int e)
+{
+    return s << (e - 1) << 1 | s >> (e - 1) >> 1 | rev >> (128 - e) >> 1;
+}
+
+/* Builds census._seed_graph's problem for the seed S and the part B in
+   B's index space, vertex i being the element low + 1 + i (low + 1 = min
+   B, B spanning at most 64 bits): the link graph, which joins i and j when
+   their elements differ by or sum to a member of S, and one cover pair
+   (y, the members of B at y + s, |y - s|, 2y or y/2 for s in S) per open
+   y up to 2 min B, the open y being the elements of [n] outside B that S
+   neither holds nor blocks (at most 64 of them there, which the caller
+   checks).  Returns free, B less blocked(S), and the other open y in
+   *unpaired. */
+static u64 seed_problem(struct problem *p, int n, u128 part, int low, u128 seed, u128 *unpaired)
+{
+    u128 all = ground(n), blocked = blocked_of(seed), rev = 0;
+    for (u128 zs = seed; zs; zs &= zs - 1)
+        rev |= (u128)1 << (127 - low_bit(zs));
+    u64 verts = (u64)(part >> low);
+    for (u64 vs = verts; vs; vs &= vs - 1) {
+        int i = __builtin_ctzll(vs);
+        p->nbr[i] = (u64)(near_of(seed, rev, low + 1 + i) >> low) & verts & ~bit(i);
     }
-    u64 free_ = all & ~(u64)(blocked >> h);
-    u64 opened = (u64)((((u128)1 << h) - 1) & ~(u128)seed & ~blocked);
+    u128 opened = all & ~part & ~seed & ~blocked, paired = 0;
+    if (part)
+        paired = 2 * (low + 1) >= 128 ? opened : opened & (((u128)1 << 2 * (low + 1)) - 1);
+    *unpaired = opened & ~paired;
     p->pairs = 0;
-    for (; opened; opened &= opened - 1) {
-        int y = __builtin_ctzll(opened) + 1;
-        u64 hit = 2 * y > h && 2 * y <= n ? bit(2 * y - h - 1) : 0;
-        for (u64 zs = seed; zs; zs &= zs - 1) {
-            int e = y + __builtin_ctzll(zs) + 1;
-            if (e > h && e <= n)
-                hit |= bit(e - h - 1);
-        }
+    for (; paired; paired &= paired - 1) {
+        int y = low_bit(paired) + 1;
+        u128 hit = near_of(seed, rev, y);
+        if (2 * y <= n)
+            hit |= (u128)1 << (2 * y - 1);
+        if (y % 2 == 0)
+            hit |= (u128)1 << (y / 2 - 1);
         p->shift[p->pairs] = y;
-        p->hit[p->pairs++] = hit;
+        p->hit[p->pairs++] = (u64)((hit & part) >> low);
     }
+    return verts & ~(u64)(blocked >> low);
+}
+
+/* (f, f_max) shares of one seed in [n/2] on the upper half, where 2 min B
+   passes n, so no open y is unpaired; the memos get a fresh stamp first. */
+static void seed_counts(struct problem *p, int n, u64 seed, u64 out[2])
+{
+    int h = n / 2;
+    u128 all = ground(n), unpaired;
+    u64 free_ = seed_problem(p, n, all >> h << h, h, seed, &unpaired);
     p->count->stamp++;
     p->count->used = 0;
     p->mis->stamp++;
@@ -285,7 +338,7 @@ int sumfree_mis(const u64 *nbr, int verts, u64 free_, const int *shifts,
     if (verts < 0 || verts > 64 || pairs < 0 || pairs > 64 || (verts < 64 && free_ >> verts))
         return KERNEL_BAD_INPUT;
     struct memo memo = { 0 };
-    struct listing sets = { 0 };
+    struct listing sets = { .cap = SIZE_MAX };
     struct problem p = { .pairs = pairs, .mis = &memo, .out = listing ? &sets : NULL };
     for (int i = 0; i < verts; i++)
         p.nbr[i] = nbr[i];
@@ -300,6 +353,69 @@ int sumfree_mis(const u64 *nbr, int verts, u64 free_, const int *shifts,
     out[0] = p.err ? 0 : mis_count(&p, free_);
     out[1] = (uintptr_t)sets.sets;
     free(memo.slots);
+    if (p.err)
+        free(sets.sets);
+    return p.err;
+}
+
+/* Appends to `sets` the maximal sum-free S | I of [n] for one seed S and
+   the part B: seed_problem's maximal independent sets, listed by search
+   into p->out, each union re-tested at the unpaired y by blocked_of. */
+static void seed_listing(struct problem *p, int n, u128 part, int low, u128 seed,
+                         struct listing *sets)
+{
+    u128 unpaired;
+    u64 free_ = seed_problem(p, n, part, low, seed, &unpaired);
+    p->out->used = 0;
+    search(p, free_, 0, 0);
+    for (size_t k = 0; k < p->out->used && !p->err; k++) {
+        u128 m = seed | (u128)p->out->sets[k] << low;
+        if (unpaired && unpaired & ~blocked_of(m))
+            continue;
+        p->err = push(sets, (u64)m);
+        if (!p->err && n > 64)
+            p->err = push(sets, (u64)(m >> 64));
+    }
+}
+
+/* Mask k of a batch of one-word (words = 1) or two-word masks. */
+static u128 mask_at(const u64 *masks, int words, size_t k)
+{
+    return words == 1 ? masks[k] : masks[2 * k] | (u128)masks[2 * k + 1] << 64;
+}
+
+/* The maximal sum-free sets S | I of [n], 1 <= n <= 128, for each of the
+   `count` seeds S in turn, I inside the part B = part_lo | part_hi << 64:
+   B a sum-free mask of [n] spanning at most 64 bits, with at most 64
+   elements of [2 min B] outside it, and each S a sum-free mask of [n]
+   outside B.  A mask is one word (n <= 64) or two, low word first, in
+   `seeds` as in the listing.  out[0] is the number of sets; out[1] the
+   address of a buffer of them, seed by seed in search's order (or 0 for
+   none), which the caller frees with sumfree_release.  A seed with more
+   than cap maximal independent sets under its cover returns KERNEL_LIMIT.
+   Returns a KERNEL_* code; out is valid only on KERNEL_OK. */
+int sumfree_seed_listing(int n, u64 part_lo, u64 part_hi, const u64 *seeds, size_t count,
+                         u64 cap, u64 out[2])
+{
+    if (n < 1 || n > 128)
+        return KERNEL_BAD_INPUT;
+    u128 all = ground(n), part = part_lo | (u128)part_hi << 64;
+    int low = part ? low_bit(part) : 0, words = n > 64 ? 2 : 1;
+    u128 below = !part ? 0 : 2 * (low + 1) >= n ? all : ((u128)1 << 2 * (low + 1)) - 1;
+    u128 outside = below & ~part;
+    if (part & ~all || part >> low >> 32 >> 32
+        || __builtin_popcountll((u64)outside) + __builtin_popcountll((u64)(outside >> 64)) > 64)
+        return KERNEL_BAD_INPUT;
+    for (size_t k = 0; k < count; k++)
+        if (mask_at(seeds, words, k) & (~all | part))
+            return KERNEL_BAD_INPUT;
+    struct listing found = { .cap = cap }, sets = { .cap = SIZE_MAX };
+    struct problem p = { .out = &found };
+    for (size_t k = 0; k < count && !p.err; k++)
+        seed_listing(&p, n, part, low, mask_at(seeds, words, k), &sets);
+    free(found.sets);
+    out[0] = sets.used / words;
+    out[1] = (uintptr_t)sets.sets;
     if (p.err)
         free(sets.sets);
     return p.err;

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +304,13 @@ def test_two_step_matches_the_unpruned_listing(parts):
     assert [s.mask for s in got] == _unpruned_listing(n, f1, f2)
 
 
+def test_two_step_listings_without_the_kernel():
+    # the two listings above again, on the kernel's Python twin
+    with mock.patch.object(kernel, "load", lambda: None):
+        test_two_step_matches_brute_force()
+        test_two_step_matches_the_unpruned_listing()
+
+
 @st.composite
 def _paired_parts(draw):
     # F2 a nonempty part of (n/2, n], so 2 min F2 > n and every open y has
@@ -442,6 +450,83 @@ def test_kernel_matches_seed_counts_on_drawn_seeds(case):
     _require_kernel()
     n, seed = case
     assert kernel.seed_counts(n, [seed]) == census._seed_counts(n, [seed])
+
+
+def _upper_half(n):
+    return (1 << n) - 1 >> n // 2 << n // 2
+
+
+def _halves(n):
+    # the upper half (n/2, n] and the seeds in [n/2]
+    return _upper_half(n), sum_free_subsets_of(range(1, n // 2 + 1))
+
+
+def _odds_and_single_evens(n, low=1):
+    # the odds from `low` up and the seeds {x}, x even
+    return (sum(1 << x - 1 for x in range(low, n + 1, 2)),
+            [1 << x - 1 for x in range(2, n + 1, 2)])
+
+
+def _both_listings(n, part, seeds, cap=census._SEED_CAP):
+    # the kernel's listing and its twin's, seed by seed
+    return ([kernel.seed_listing(n, part, [seed], cap) for seed in seeds],
+            [census._seed_listings(n, part, [seed], cap) for seed in seeds])
+
+
+def test_kernel_listing_matches_the_twin_seed_by_seed():
+    # the same sets in the same order, on the halves (no open y unpaired)
+    # and on the odds with the seeds {x} (every even y past 2 unpaired, so
+    # the unions are re-tested); past 64 the masks take two words
+    _require_kernel()
+    cases = [(n, *_halves(n)) for n in range(1, 41)]
+    cases += [(n, *_odds_and_single_evens(n)) for n in range(1, 31)]
+    for n in (100, 127, 128):
+        half = n // 2
+        cases.append((n, _upper_half(n), sum_free_subsets_of(range(half - 7, half + 1))))
+    cases.append((90, *_odds_and_single_evens(90, 27)))
+    for n, part, seeds in cases:
+        compiled, python = _both_listings(n, part, seeds)
+        assert compiled == python, n
+    assert sum(map(len, compiled)) == 2155
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_wide_parts(), _paired_parts()))
+def test_kernel_listing_matches_the_twin_on_drawn_parts(parts):
+    _require_kernel()
+    n, f1, f2 = parts
+    assert kernel.listing_fits(n, f2)
+    compiled, python = _both_listings(n, f2, sum_free_subsets_of(iter_mask(f1)))
+    assert compiled == python
+
+
+def test_listing_routes_refuse_bad_input():
+    _require_kernel()
+    half = _upper_half(12)
+    for n, part, seeds in ((0, 0, [0]), (12, half, [1 << 6]), (12, half, [1 << 12]),
+                           (12, half, [-1]), (12, half | 1 << 12, [0])):
+        for route in (kernel.seed_listing, census._seed_listings):
+            with pytest.raises(ValueError):
+                route(n, part, seeds, 10)
+    # past n = 128 or 64 bits of part the kernel refuses and the dispatch
+    # falls back to the twin, which lists them
+    for n, part, seeds in ((129, _upper_half(129), [1 << 63]),
+                           (100, _odds_and_single_evens(100, 35)[0], [1 << 1])):
+        assert not kernel.listing_fits(n, part)
+        with pytest.raises(ValueError):
+            kernel.seed_listing(n, part, seeds, 10)
+        assert census._listings(n, part, seeds) == census._seed_listings(n, part, seeds, 10)
+
+
+def test_listing_routes_refuse_past_the_cap():
+    # the seed {4} of [16] has 5 maximal sets under its cover
+    part = _upper_half(16)
+    routes = [census._seed_listings, *([kernel.seed_listing] if kernel.load() else [])]
+    for route in routes:
+        for cap in (4, 0):
+            with pytest.raises(EnumerationLimitError):
+                route(16, part, [0, 1 << 3], cap)
+        assert len(route(16, part, [1 << 3], 5)) == 5
 
 
 def test_branch_counts_with_and_without_the_kernel(monkeypatch):
@@ -643,6 +728,17 @@ def test_two_step_preconditions():
         two_step_enumerate(IntSubset.of(8, [5]), IntSubset.of(8, [1, 2]), 8)
 
 
+def test_two_step_refuses_parts_outside_the_ground_before_listing(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a seed was listed")
+
+    monkeypatch.setattr(census, "_seed_graph", listed)
+    for load in (kernel.load, lambda: None):
+        monkeypatch.setattr(kernel, "load", load)
+        with pytest.raises(ValueError, match=r"masks of \[n\]"):
+            two_step_enumerate(IntSubset.of(12, [1, 2, 3]), IntSubset.of(12, [9, 10, 11, 12]), 8)
+
+
 def test_two_step_seed_slice():
     # the maximal sets of [16] whose lower half is the seed {4}
     got = two_step_enumerate(
@@ -696,8 +792,7 @@ def test_one_blocked_mask_per_seed(monkeypatch):
     census._seed_counts(n, seeds)
     assert len(calls) == len(seeds)
     calls.clear()
-    two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
-                       IntSubset.of(n, range(n // 2 + 1, n + 1)), n)
+    census._seed_listings(n, _upper_half(n), seeds, census._SEED_CAP)
     assert len(calls) == len(seeds)
 
 
