@@ -28,9 +28,10 @@ two-step listing (seeds in one part joined with maximal independent sets of
 their link graphs on the other) and the census of maximal sets with exactly
 one even member (the seeds {x} on the odds).  The listing runs a batch of
 seeds in one call of the compiled kernel (`kernel.seed_listing`, which
-builds the same problem in C) when it loads and takes the part, and its
-Python twin `_seed_listings` otherwise; only the sort and the `IntSubset`
-wrapping stay in Python.  The listing of the maximal sets of [n] is the
+builds the same problem in C and sorts its output there) when it loads and
+takes the part, and its Python twin `_seed_listings` otherwise; both hand
+the sets back in `_mask_sort_key`'s order, so only the `IntSubset` wrapping
+stays in Python.  The listing of the maximal sets of [n] is the
 two-step join on the halves; the tests and the two-step-mis check compare
 it with the oracle DFS's maximal nodes.  The seeds are listed level by
 level, each set's children being the elements above its maximum that it
@@ -189,10 +190,10 @@ _SEED_CAP = 1_000_000
 
 
 def _seed_listings(n: int, part: int, seeds: list[int], cap: int) -> list[int]:
-    """The maximal sum-free sets S | I of [n] for each seed S in turn and
-    the part B of `_seed_graph`: the maximal independent sets under its
-    cover in `_search`'s order, each union re-tested by the definition at
-    the unpaired y only.  A seed with more than `cap` of them raises
+    """The maximal sum-free sets S | I of [n] for the seeds S and the part
+    B of `_seed_graph`, sorted by `_mask_sort_key`: each seed's maximal
+    independent sets under its cover, each union re-tested by the definition
+    at the unpaired y only.  A seed with more than `cap` of them raises
     EnumerationLimitError before any is listed.  It runs `_search` alone,
     never the kernel, so it is `kernel.seed_listing`'s reference."""
     if n < 1 or part >> n or any(s >> n or s & part for s in seeds):
@@ -209,6 +210,7 @@ def _seed_listings(n: int, part: int, seeds: list[int], cap: int) -> list[int]:
         _search(nbr, free, cover, found)
         sets += [seed | ind for ind in found
                  if not unpaired or not unpaired & ~mask_blocked(seed | ind)]
+    sets.sort(key=_mask_sort_key)
     return sets
 
 
@@ -264,7 +266,7 @@ def f_max_branch(n: int, workers: int = 1) -> int:
 def _mask_sort_key(mask: int) -> str:
     """Sorts masks as their sorted member tuples do: character x - 1 is "1"
     for a member x and "2" for a gap, up to the largest member, so a prefix
-    comes first."""
+    comes first.  kernel.c's `order` compares masks the same way."""
     return bin(mask)[:1:-1].replace("0", "2") if mask else ""
 
 
@@ -299,22 +301,22 @@ def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
 
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
-    Each seed's sets are its listing on F2 (`_listings`), exact for any two
-    parts; a union's seed is its part in F1, so no set is listed twice.
+    The seeds' sets are their listing on F2 (`_listings`), exact for any two
+    parts; a union's seed is its part in F1, so no set is listed twice.  The
+    listing comes back sorted by `_mask_sort_key`, a total order on masks,
+    so the sets are in canonical order however F1 and F2 interleave.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
     if not mask_is_sum_free(f2.mask):
         raise ValueError("the extension part must be sum-free")
-    found = _listings(n, f2.mask, sum_free_subsets_of(f1.members))
-    found.sort(key=_mask_sort_key)  # in place: one list of masks, not two
     ground = GroundSet(n)
-    return [IntSubset(ground, m) for m in found]
+    return [IntSubset(ground, m) for m in _listings(n, f2.mask, sum_free_subsets_of(f1.members))]
 
 
-# the listing holds every maximal set: n = 48 gives 424991 of them in 1.2 s
-# with the compiled kernel and 7.5 s without (peak RSS 90 MB either way) on
-# a 2-core Intel Xeon, Python 3.11.7
+# the listing holds every maximal set: n = 48 gives 424991 of them in 0.54 s
+# with the compiled kernel (peak RSS 66 MB) and 5.6 s without (93 MB) on a
+# 2-core Intel Xeon, Python 3.11.7
 _ENUMERATE_MAX_N = 48
 
 
@@ -341,8 +343,9 @@ class SingleEvenCensus:
     upper: int  # sum over evens of the single-even link MIS counts
 
 
-# n = 30 takes 0.02 s (515 sets) on a 2-core Intel Xeon, Python 3.11.7,
-# with the compiled kernel; 40 and 50 took 0.03 and 0.04 s
+# n = 30 takes 0.005 s (515 sets) on a 2-core Intel Xeon, Python 3.11.7,
+# with the compiled kernel and 0.014 s without; 40 and 50 took 0.013 and
+# 0.027 s with it
 _SINGLE_EVEN_MAX_N = 30
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundSet:
     """The interval [n] = {1, ..., n}."""
 
@@ -91,7 +91,7 @@ def mask_can_add(mask: int, x: int) -> bool:
     return not (mask | mask_blocked(mask)) >> (x - 1) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntSubset:
     """A subset of [n], bit-indexed over {1, ..., n}."""
 

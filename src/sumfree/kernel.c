@@ -30,7 +30,8 @@
      The counts take B = (n/2, n], where no y is unpaired: f sums i(G), the
      independent sets inside free, by i(c) = i(c - v) + i(c minus N[v]) for
      the lowest v of c, memoised on c; f_max sums mis_count.  The listing
-     takes any such B and appends the maximal S | I seed by seed.
+     takes any such B, lists the maximal S | I seed by seed and sorts them
+     once into census._mask_sort_key's order.
 
    The memos are open-addressing tables: sumfree_mis makes one per call,
    sumfree_seed_counts empties its two per seed by a new stamp.
@@ -384,16 +385,40 @@ static u128 mask_at(const u64 *masks, int words, size_t k)
     return words == 1 ? masks[k] : masks[2 * k] | (u128)masks[2 * k + 1] << 64;
 }
 
+/* -1, 0 or 1 as x comes before, equals or comes after y in
+   census._mask_sort_key's order: the lowest bit where they differ puts
+   first the mask that holds it, unless the other has no member at or above
+   that bit; that one is a prefix, and it comes first. */
+static int order(u128 x, u128 y)
+{
+    if (x == y)
+        return 0;
+    int d = low_bit(x ^ y);
+    return (x >> d & 1 ? y >> d != 0 : x >> d == 0) ? -1 : 1;
+}
+
+/* qsort's comparators on one-word and two-word masks. */
+static int by_order_1(const void *a, const void *b)
+{
+    return order(*(const u64 *)a, *(const u64 *)b);
+}
+
+static int by_order_2(const void *a, const void *b)
+{
+    return order(mask_at(a, 2, 0), mask_at(b, 2, 0));
+}
+
 /* The maximal sum-free sets S | I of [n], 1 <= n <= 128, for each of the
    `count` seeds S in turn, I inside the part B = part_lo | part_hi << 64:
    B a sum-free mask of [n] spanning at most 64 bits, with at most 64
    elements of [2 min B] outside it, and each S a sum-free mask of [n]
    outside B.  A mask is one word (n <= 64) or two, low word first, in
    `seeds` as in the listing.  out[0] is the number of sets; out[1] the
-   address of a buffer of them, seed by seed in search's order (or 0 for
-   none), which the caller frees with sumfree_release.  A seed with more
-   than cap maximal independent sets under its cover returns KERNEL_LIMIT.
-   Returns a KERNEL_* code; out is valid only on KERNEL_OK. */
+   address of a buffer of them (or 0 for none), listed seed by seed and
+   then sorted once into census._mask_sort_key's order, which the caller
+   frees with sumfree_release.  A seed with more than cap maximal
+   independent sets under its cover returns KERNEL_LIMIT.  Returns a
+   KERNEL_* code; out is valid only on KERNEL_OK. */
 int sumfree_seed_listing(int n, u64 part_lo, u64 part_hi, const u64 *seeds, size_t count,
                          u64 cap, u64 out[2])
 {
@@ -418,6 +443,9 @@ int sumfree_seed_listing(int n, u64 part_lo, u64 part_hi, const u64 *seeds, size
     out[1] = (uintptr_t)sets.sets;
     if (p.err)
         free(sets.sets);
+    else if (sets.used)
+        qsort(sets.sets, sets.used / words, words * sizeof *sets.sets,
+              words == 1 ? by_order_1 : by_order_2);
     return p.err;
 }
 

@@ -214,9 +214,10 @@ def listing_fits(n: int, part: int) -> bool:
 
 
 def seed_listing(n: int, part: int, seeds: Sequence[int], cap: int) -> list[int]:
-    """`census._seed_listings(n, part, seeds, cap)` in C: the same masks in
-    the same order, and EnumerationLimitError for a seed with more than
-    `cap` maximal independent sets under its cover.  ValueError unless
+    """`census._seed_listings(n, part, seeds, cap)` in C: the same masks,
+    sorted in C into the same `census._mask_sort_key` order, and
+    EnumerationLimitError for a seed with more than `cap` maximal
+    independent sets under its cover.  ValueError unless
     `listing_fits(n, part)` and each seed is a mask of [n] outside B, which
     must lie in [n] too."""
     if not listing_fits(n, part):

@@ -473,6 +473,14 @@ def _both_listings(n, part, seeds, cap=census._SEED_CAP):
             [census._seed_listings(n, part, [seed], cap) for seed in seeds])
 
 
+def _batch_listings(n, part, seeds):
+    # one call of each route on the whole batch, and the canonical order,
+    # which is not seed by seed when the seeds' sets interleave
+    python = census._seed_listings(n, part, seeds, census._SEED_CAP)
+    return (kernel.seed_listing(n, part, seeds, census._SEED_CAP), python,
+            sorted(python, key=lambda m: tuple(iter_mask(m))))
+
+
 def test_kernel_listing_matches_the_twin_seed_by_seed():
     # the same sets in the same order, on the halves (no open y unpaired)
     # and on the odds with the seeds {x} (every even y past 2 unpaired, so
@@ -487,7 +495,9 @@ def test_kernel_listing_matches_the_twin_seed_by_seed():
     for n, part, seeds in cases:
         compiled, python = _both_listings(n, part, seeds)
         assert compiled == python, n
-    assert sum(map(len, compiled)) == 2155
+        batch, python_batch, canonical = _batch_listings(n, part, seeds)
+        assert batch == python_batch == canonical, n
+    assert sum(map(len, compiled)) == len(batch) == 2155
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,8 +506,11 @@ def test_kernel_listing_matches_the_twin_on_drawn_parts(parts):
     _require_kernel()
     n, f1, f2 = parts
     assert kernel.listing_fits(n, f2)
-    compiled, python = _both_listings(n, f2, sum_free_subsets_of(iter_mask(f1)))
+    seeds = sum_free_subsets_of(iter_mask(f1))
+    compiled, python = _both_listings(n, f2, seeds)
     assert compiled == python
+    batch, python_batch, canonical = _batch_listings(n, f2, seeds)
+    assert batch == python_batch == canonical
 
 
 def test_listing_routes_refuse_bad_input():

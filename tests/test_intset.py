@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +33,23 @@ subsets = st.integers(min_value=1, max_value=24).flatmap(
 def test_ground_set_rejects_nonpositive():
     with pytest.raises(ValueError):
         GroundSet(0)
+
+
+def test_subsets_stay_frozen_values():
+    # slotted frozen dataclasses: no attribute can be set, equal masks on one
+    # ground are one value, and copying or pickling gives an equal subset
+    s = IntSubset.of(10, (3, 5, 10))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.mask = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.ground.n = 11
+    twin = IntSubset(GroundSet(10), s.mask)
+    assert twin == s and hash(twin) == hash(s)
+    assert twin != IntSubset(GroundSet(11), s.mask)
+    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and hash(copied) == hash(s) and copied.members == (3, 5, 10)
+    with pytest.raises(ValueError):
+        IntSubset(GroundSet(2), 0b100)
 
 
 def test_sum_free_examples():
