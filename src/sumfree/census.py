@@ -30,8 +30,8 @@ one even member (the seeds {x} on the odds).  The listing runs a batch of
 seeds in one call of the compiled kernel (`kernel.seed_listing`, which
 builds the same problem in C and sorts its output there) when it loads and
 takes the part, and its Python twin `_seed_listings` otherwise; both hand
-the sets back in `_mask_sort_key`'s order, so only the `IntSubset` wrapping
-stays in Python.  The listing of the maximal sets of [n] is the
+the sets back as masks in `_mask_sort_key`'s order, and the listing returns
+them as they come.  The listing of the maximal sets of [n] is the
 two-step join on the halves; the tests and the two-step-mis check compare
 it with the oracle DFS's maximal nodes.  The seeds are listed level by
 level, each set's children being the elements above its maximum that it
@@ -49,13 +49,7 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable
 
-from .intset import (
-    GroundSet,
-    IntSubset,
-    iter_mask,
-    mask_blocked,
-    mask_is_sum_free,
-)
+from .intset import IntSubset, iter_mask, mask_blocked, mask_is_sum_free
 from .linkgraph import link_masks, link_pair_even, link_single_even
 from .mis import EnumerationLimitError, _search, check_vertex_limit, count_independent, count_mis
 
@@ -294,35 +288,35 @@ def sum_free_subsets_of(members: Iterable[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[IntSubset]:
-    """Maximal sum-free subsets of [n] contained in F1 + F2, built by fixing
-    a sum-free seed S in F1 and extending it by a maximal independent set of
-    the link graph of S on F2.
+def two_step_enumerate(f1: IntSubset, f2: IntSubset, n: int) -> list[int]:
+    """Masks (element e at bit e - 1) of the maximal sum-free subsets of [n]
+    contained in F1 + F2, built by fixing a sum-free seed S in F1 and
+    extending it by a maximal independent set of the link graph of S on F2.
 
     F1 and F2 must be disjoint and F2 itself sum-free (the seed-extension
     correspondence needs both the seed and the extension side sum-free).
     The seeds' sets are their listing on F2 (`_listings`), exact for any two
     parts; a union's seed is its part in F1, so no set is listed twice.  The
     listing comes back sorted by `_mask_sort_key`, a total order on masks,
-    so the sets are in canonical order however F1 and F2 interleave.
+    so the sets are in canonical order (that of their sorted member tuples)
+    however F1 and F2 interleave.
     """
     if f1.mask & f2.mask:
         raise ValueError("the two parts must be disjoint")
     if not mask_is_sum_free(f2.mask):
         raise ValueError("the extension part must be sum-free")
-    ground = GroundSet(n)
-    return [IntSubset(ground, m) for m in _listings(n, f2.mask, sum_free_subsets_of(f1.members))]
+    return _listings(n, f2.mask, sum_free_subsets_of(f1.members))
 
 
-# the listing holds every maximal set: n = 48 gives 424991 of them in 0.54 s
-# with the compiled kernel (peak RSS 66 MB) and 5.6 s without (93 MB) on a
-# 2-core Intel Xeon, Python 3.11.7
+# the listing holds every maximal set: n = 48 gives 424991 of them in 0.19 s
+# with the compiled kernel (peak RSS 48 MB) and about 6 s without (93 MB) on
+# a 2-core Intel Xeon, Python 3.11.7
 _ENUMERATE_MAX_N = 48
 
 
-def enumerate_maximal_sum_free(n: int) -> list[IntSubset]:
-    """All maximal sum-free subsets of [n], canonically ordered: the two-step
-    join of the seeds in [1, n/2] with the upper half (n/2, n]."""
+def enumerate_maximal_sum_free(n: int) -> list[int]:
+    """The masks of all maximal sum-free subsets of [n], canonically ordered:
+    the two-step join of the seeds in [1, n/2] with the upper half (n/2, n]."""
     if n > _ENUMERATE_MAX_N:
         raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {_ENUMERATE_MAX_N}")
     half = n // 2

@@ -140,8 +140,8 @@ def check_two_step_mis(n_max: int = 20) -> tuple:
     instances = 0
     for n in range(2, n_max + 1):
         found = [m for m, joinable in _dfs_nodes(n, 0, 0, 1) if not joinable]
-        joined = [m.mask for m in two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
-                                                     IntSubset.of(n, range(n // 2 + 1, n + 1)), n)]
+        joined = two_step_enumerate(IntSubset.of(n, range(1, n // 2 + 1)),
+                                    IntSubset.of(n, range(n // 2 + 1, n + 1)), n)
         instances += len(found)
         in_dfs, in_join = set(found), set(joined)
         failures += [f"n={n}, M={tuple(iter_mask(m))}: found by the oracle's DFS but"
@@ -451,7 +451,7 @@ def check_single_even_sandwich(n_max: int = 18) -> tuple:
                 f"n={n}: sandwich {census.lower} <= {census.f_prime_max}"
                 f" <= {census.upper} fails"
             )
-        maximal = [m.mask for m in enumerate_maximal_sum_free(n)]
+        maximal = enumerate_maximal_sum_free(n)
         for x in range(2, n + 1, 2):
             for ind in enumerate_mis(link_single_even(n, x)):
                 base = 1 << (x - 1)

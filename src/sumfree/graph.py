@@ -10,6 +10,11 @@ mask per vertex, one loop mask); components and subgraphs are cut from those
 masks, never rebuilt from label pairs.  That keeps triangle tests, component
 splits and isomorphism search cheap for the desk-scale instances handled
 here (<= 64 vertices for isomorphism, a few hundred elsewhere).
+
+A direct `Graph(...)` call is the trust boundary: it checks the labels are
+distinct and the adjacency in range, loop-free and symmetric, edge by edge.
+The builders here and in `linkgraph` produce graphs that satisfy this by
+construction, so they go through `Graph._trusted`, which skips the check.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ class Graph:
                 m ^= low
 
     @classmethod
+    def _trusted(cls, labels: tuple[int, ...], nbr: tuple[int, ...], loops_mask: int) -> "Graph":
+        """The graph with these fields, made without `__post_init__`'s
+        checks: only for the package's own builders, whose fields hold those
+        invariants by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "nbr", nbr)
+        object.__setattr__(g, "loops_mask", loops_mask)
+        return g
+
+    @classmethod
     def build(
         cls,
         labels: Iterable[int],
@@ -48,6 +64,8 @@ class Graph:
         """Construct from labels, label-pair edges, and loop labels."""
         lab = tuple(sorted(labels))
         index = {v: i for i, v in enumerate(lab)}
+        if len(index) != len(lab):
+            raise ValueError("duplicate vertex labels")
         nbr = [0] * len(lab)
         for u, v in edges:
             if u == v:
@@ -58,7 +76,7 @@ class Graph:
         loops_mask = 0
         for v in loops:
             loops_mask |= 1 << index[v]
-        return cls(lab, tuple(nbr), loops_mask)
+        return cls._trusted(lab, tuple(nbr), loops_mask)
 
     @property
     def num_vertices(self) -> int:
@@ -145,7 +163,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for i in range(g.num_vertices)
         for j in range(nh)
     ]
-    return Graph(tuple(range(len(nbr))), tuple(nbr), 0)
+    return Graph._trusted(tuple(range(len(nbr))), tuple(nbr), 0)
 
 
 def prism() -> Graph:
@@ -214,7 +232,7 @@ def _induced(g: Graph, keep: int) -> Graph:
     def compact(mask: int) -> int:
         return sum(1 << k for k, i in enumerate(idx) if mask >> i & 1)
 
-    return Graph(
+    return Graph._trusted(
         tuple(g.labels[i] for i in idx),
         tuple(compact(g.nbr[i]) for i in idx),
         compact(g.loops_mask),

@@ -64,8 +64,8 @@ def link_graph_ints(s_members, b_members) -> Graph:
     def relabel(mask: int) -> int:
         return sum(index[x] for x in iter_mask(mask))
 
-    return Graph(tuple(b), tuple(relabel(nbr[x - 1]) for x in b),
-                 relabel(b_mask & mask_blocked(s_mask)))
+    return Graph._trusted(tuple(b), tuple(relabel(nbr[x - 1]) for x in b),
+                          relabel(b_mask & mask_blocked(s_mask)))
 
 
 def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Graph:
@@ -79,7 +79,7 @@ def link_graph_group(group: AbelianGroup, s: GroupSubset, b: GroupSubset) -> Gra
         for z in zs:
             near |= 1 << row[z] | 1 << row[neg[z]] | 1 << add[z][neg[x]]
         nbr.append(near & ~(1 << x))
-    return _induced(Graph(tuple(range(group.order)), tuple(nbr), group.blocked(s.mask)),
+    return _induced(Graph._trusted(tuple(range(group.order)), tuple(nbr), group.blocked(s.mask)),
                     b.mask)
 
 

@@ -84,7 +84,7 @@ def test_oracle_maximal_masks_are_the_walks():
     # found once: the same masks as the listing
     for n in range(1, 21):
         maximal = [m for m, joinable in census._dfs_nodes(n, 0, 0, 1) if not joinable]
-        want = {s.mask for s in enumerate_maximal_sum_free(n)}
+        want = set(enumerate_maximal_sum_free(n))
         assert len(maximal) == len(want) and set(maximal) == want, n
 
 
@@ -158,7 +158,7 @@ def test_listing_and_branch_counts_match_definitions():
         maximal = _brute_maximal(n)
         sets = [m for m in _submasks(universe) if mask_is_sum_free(m)]
         nodes += len(sets)
-        assert [s.mask for s in enumerate_maximal_sum_free(n)] == sorted(
+        assert enumerate_maximal_sum_free(n) == sorted(
             maximal, key=lambda m: tuple(iter_mask(m))
         )
         assert branch_counts(n) == (len(sets), len(maximal))
@@ -255,7 +255,7 @@ def test_two_step_matches_brute_force(parts):
     n, f1, f2 = parts
     got = two_step_enumerate(IntSubset(GroundSet(n), f1), IntSubset(GroundSet(n), f2), n)
     want = [m for m in _brute_maximal(n) if not m & ~(f1 | f2)]
-    assert [s.mask for s in got] == sorted(want, key=lambda m: tuple(iter_mask(m)))
+    assert got == sorted(want, key=lambda m: tuple(iter_mask(m)))
 
 
 @st.composite
@@ -301,7 +301,7 @@ def test_two_step_matches_the_unpruned_listing(parts):
     n, f1, f2 = parts
     ground = GroundSet(n)
     got = two_step_enumerate(IntSubset(ground, f1), IntSubset(ground, f2), n)
-    assert [s.mask for s in got] == _unpruned_listing(n, f1, f2)
+    assert got == _unpruned_listing(n, f1, f2)
 
 
 def test_two_step_listings_without_the_kernel():
@@ -336,7 +336,7 @@ def test_two_step_without_unpaired_elements_matches_the_unpruned_listing(parts):
     n, f1, f2 = parts
     ground = GroundSet(n)
     got = two_step_enumerate(IntSubset(ground, f1), IntSubset(ground, f2), n)
-    assert [s.mask for s in got] == _unpruned_listing(n, f1, f2)
+    assert got == _unpruned_listing(n, f1, f2)
 
 
 def test_mask_sort_key_orders_as_member_tuples():
@@ -672,9 +672,9 @@ def test_concurrent_builders_each_finish_one_build(tmp_path):
 
 
 def test_enumeration_examples():
-    assert [s.members for s in enumerate_maximal_sum_free(1)] == [(1,)]
-    assert [s.members for s in enumerate_maximal_sum_free(2)] == [(1,), (2,)]
-    assert [s.members for s in enumerate_maximal_sum_free(4)] == [
+    assert [tuple(iter_mask(m)) for m in enumerate_maximal_sum_free(1)] == [(1,)]
+    assert [tuple(iter_mask(m)) for m in enumerate_maximal_sum_free(2)] == [(1,), (2,)]
+    assert [tuple(iter_mask(m)) for m in enumerate_maximal_sum_free(4)] == [
         (1, 3),
         (1, 4),
         (2, 3),
@@ -686,8 +686,8 @@ def test_enumerated_sets_are_maximal():
     for n in (6, 9, 12):
         sets = enumerate_maximal_sum_free(n)
         assert len(sets) == F_MAX_VALUES[n - 1]
-        assert all(is_maximal_sum_free(s) for s in sets)
-        members = [s.members for s in sets]
+        assert all(is_maximal_sum_free(IntSubset(GroundSet(n), m)) for m in sets)
+        members = [tuple(iter_mask(m)) for m in sets]
         assert members == sorted(members)
 
 
@@ -706,7 +706,7 @@ def test_two_step_full_reproduction():
     # the listing, the two-step join on the halves, against the maximal
     # sets the oracle's DFS finds: the same sets in member-tuple order
     for n in range(1, 21):
-        got = [s.mask for s in enumerate_maximal_sum_free(n)]
+        got = enumerate_maximal_sum_free(n)
         assert got == sorted(_dfs_maximal(n), key=lambda m: tuple(iter_mask(m))), n
 
 
@@ -719,19 +719,32 @@ def test_two_step_halves_against_the_oracle():
             IntSubset.of(n, range(n // 2 + 1, n + 1)),
             n,
         )
-        assert len({s.mask for s in got}) == len(got) == oracle_counts(n)[1] == f_max
+        assert len(set(got)) == len(got) == oracle_counts(n)[1] == f_max
         if n == 24:
-            assert all(is_maximal_sum_free(s) for s in got)
+            assert all(is_maximal_sum_free(IntSubset(GroundSet(n), m)) for m in got)
 
 
 def test_two_step_restriction():
     got = two_step_enumerate(
         IntSubset.of(12, []), IntSubset.of(12, range(7, 13)), 12
     )
-    assert [s.members for s in got] == [(7, 8, 9, 10, 11, 12)]
-    assert [s.members for s in two_step_enumerate(
+    assert [tuple(iter_mask(m)) for m in got] == [(7, 8, 9, 10, 11, 12)]
+    assert [tuple(iter_mask(m)) for m in two_step_enumerate(
         IntSubset.of(1, [1]), IntSubset.of(1, []), 1
     )] == [(1,)]
+
+
+def test_two_step_returns_plain_masks_on_both_routes():
+    # the listing hands back the routes' int masks as they are, in one order
+    # (at 100 the kernel's masks take two words)
+    _require_kernel()
+    for n, low in ((30, 1), (100, 43)):
+        parts = IntSubset.of(n, range(low, n // 2 + 1)), IntSubset.of(n, range(n // 2 + 1, n + 1))
+        compiled = two_step_enumerate(*parts, n)
+        with mock.patch.object(kernel, "load", lambda: None):
+            python = two_step_enumerate(*parts, n)
+        assert compiled == python and compiled
+        assert all(type(m) is int for m in compiled + python)
 
 
 def test_two_step_preconditions():
@@ -757,7 +770,7 @@ def test_two_step_seed_slice():
     got = two_step_enumerate(
         IntSubset.of(16, range(1, 9)), IntSubset.of(16, range(9, 17)), 16
     )
-    assert sum(1 for s in got if [x for x in s if x <= 8] == [4]) == 5
+    assert sum(1 for m in got if [x for x in iter_mask(m) if x <= 8] == [4]) == 5
 
 
 def test_single_even_census_values():
@@ -849,7 +862,7 @@ def test_restriction_monotone():
     # counting maximal sets of [n] inside S never exceeds the count inside
     # any superset T
     n = 14
-    maximal = [set(s.members) for s in enumerate_maximal_sum_free(n)]
+    maximal = [set(iter_mask(m)) for m in enumerate_maximal_sum_free(n)]
     rng = random.Random(3)
     for _ in range(40):
         t = {x for x in range(1, n + 1) if rng.random() < 0.7}

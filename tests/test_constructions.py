@@ -43,7 +43,7 @@ def test_ce_odd_closures_pairwise_distinct():
     # beyond the window certificate: full maximal closures stay distinct
     for n in (8, 10, 12, 14, 16, 18):
         fam = ce_odd_family(n)
-        maximal = [m.mask for m in enumerate_maximal_sum_free(n)]
+        maximal = enumerate_maximal_sum_free(n)
         closures = []
         for member in fam.members:
             owners = [mm for mm in maximal if mm & member.mask == member.mask]

@@ -29,6 +29,9 @@ from sumfree.graph import (
     relabel,
     to_text,
 )
+from sumfree.group import AbelianGroup, GroupSubset
+from sumfree.intset import iter_mask
+from sumfree.linkgraph import link_graph_group, link_graph_ints
 
 
 @st.composite
@@ -128,6 +131,31 @@ def test_symmetry_check_catches_one_sided_bits(g, data):
     nbr[i] ^= 1 << j  # add or drop the arc i -> j, leave j -> i as it was
     with pytest.raises(ValueError, match="adjacency is not symmetric"):
         Graph(g.labels, tuple(nbr), g.loops_mask)
+
+
+@given(random_graphs(), random_graphs(), st.integers(0, (1 << 16) - 1),
+       st.integers(0, (1 << 16) - 1))
+@settings(max_examples=60, deadline=None)
+def test_trusted_builders_pass_the_checking_constructor(g, h, s_mask, b_mask):
+    # every builder that skips __post_init__ hands back fields it accepts
+    shifted = relabel(h, {v: 3 * v + 100 for v in h.labels})
+    built = [g, shifted, disjoint_union(g, shifted), from_text(to_text(shifted)),
+             cartesian_product(g, h), prism(), *connected_components(g),
+             link_graph_ints(iter_mask(s_mask), iter_mask(b_mask))]
+    for desc in ("Z2xZ4", "Z9", "Z2xZ2xZ3", "Z16"):
+        grp = AbelianGroup.parse(desc)
+        whole = (1 << grp.order) - 1
+        built.append(link_graph_group(grp, GroupSubset(grp, s_mask & whole),
+                                      GroupSubset(grp, b_mask & whole)))
+    for out in built:
+        assert Graph(out.labels, out.nbr, out.loops_mask) == out
+
+
+def test_builders_refuse_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate vertex labels"):
+        Graph.build([1, 1])
+    with pytest.raises(ValueError, match="duplicate vertex labels"):
+        from_text("g 2\nv 0 5\nv 1 5\n")
 
 
 @given(random_graphs(), st.integers(min_value=0, max_value=(1 << 10) - 1))
